@@ -4,6 +4,8 @@
 // disabled-path overhead on the host datapath.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "exp/fabric_scenario.h"
 #include "exp/scenario.h"
 #include "host/config.h"
@@ -153,6 +155,49 @@ void BM_MemControllerQuantum(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemControllerQuantum);
+
+// The memory-controller quantum of an idle host: the always-on per-host
+// lane of every full HostModel with nothing to do (in a 64-host incast,
+// ~96% of all quanta). A short burst loads the controller's EWMAs; each
+// iteration then times 10 ms (100k quanta) of idle simulated time. The
+// zero-sample decays pass the subnormal range and reach 0 after ~36k
+// quanta; the rest are settled quanta, as in a sender that stays idle.
+// items/sec is idle quanta per second, gated against
+// BM_MemControllerQuantum.
+void BM_MemControllerIdleQuantum(benchmark::State& state) {
+  struct BurstHost {
+    sim::Simulator sim;
+    host::HostModel host{sim, host::HostConfig{}, "idle"};
+    net::PacketPool pool;
+  };
+  const sim::Time idle = sim::Time::milliseconds(10);
+  const auto quanta = static_cast<std::int64_t>(idle / host::HostConfig{}.mc_quantum);
+  std::unique_ptr<BurstHost> h;
+  for (auto _ : state) {
+    state.PauseTiming();
+    h = std::make_unique<BurstHost>();
+    h->host.set_stack_rx([](net::Packet&) {});
+    for (int i = 0; i < 16; ++i) {
+      net::PacketRef p = h->pool.make();
+      p->flow = 5 + static_cast<net::FlowId>(i % 4);
+      p->payload = 4030;
+      p->size = p->payload + net::kHeaderBytes;
+      h->sim.after(sim::Time::nanoseconds(410) * i,
+                   [&host = h->host, p = std::move(p)]() mutable {
+                     host.receive_from_wire(std::move(p));
+                   });
+    }
+    h->sim.run_until(sim::Time::microseconds(50));
+    if (!h->host.pipeline_empty()) {
+      state.SkipWithError("burst did not drain");
+      return;
+    }
+    state.ResumeTiming();
+    h->sim.run_until(h->sim.now() + idle);
+  }
+  state.SetItemsProcessed(state.iterations() * quanta);
+}
+BENCHMARK(BM_MemControllerIdleQuantum);
 
 // Observability overhead: push a batch of packets through the full host
 // datapath (NIC -> PCIe -> IIO -> memory -> CPU) under three tracer

@@ -9,7 +9,7 @@
 // TcpConnection::TransferState: promotion restores the analytic flows
 // into freshly connected TcpConnections (go-back-N from the cumulative
 // ACK, so no byte is ever lost), demotion exports them back and parks the
-// HostModel (its 50ns memory-controller lane stops).
+// HostModel (its 100ns memory-controller lane stops).
 //
 // The FidelityManager is the congestion watcher: one per cell, ticking on
 // the cell's own simulator at the telemetry cadence (5us), so decisions

@@ -1,6 +1,6 @@
 // AnalyticHost: the cheap tier of the hybrid-fidelity host model. Where
 // HostModel simulates the full NIC→PCIe→IIO→MC→CPU pipeline (including a
-// 50ns memory-controller quantum lane that alone costs ~20k events per
+// 100ns memory-controller quantum lane that alone costs ~10k events per
 // simulated millisecond per host), the analytic tier models a host as a
 // token-bucket offered load plus a closed-form RTT/ECN response loop:
 //

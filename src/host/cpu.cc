@@ -38,6 +38,7 @@ void CpuComplex::maybe_start(std::size_t core_idx) {
   if (core.busy || core.q.empty()) return;
   core.busy = true;
   busy_cores_ += 1.0;
+  mem_wake();  // busy cores put pressure on the memory controller
   Work w = std::move(core.q.front());
   core.q.pop_front();
   const sim::Time t = processing_time(w);
@@ -68,6 +69,7 @@ void CpuComplex::finish(std::size_t core_idx, Work w) {
   // whether the packet was still LLC-resident (§2.2 / DDIO discussion).
   const double amp = w.from_llc ? cfg_.copy_llc_amplification : cfg_.copy_amplification;
   copy_backlog_ += amp * static_cast<double>(pkt.payload);
+  mem_wake();
   if (w.from_llc) ddio_.consumed(pkt.payload);
 
   ++processed_pkts_;

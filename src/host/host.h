@@ -113,7 +113,7 @@ class HostModel {
 
   // --- hybrid-fidelity parking ---
   // A demoted host is kept constructed (events may still reference it) but
-  // parked: the memory controller's 50ns quantum lane — the only always-on
+  // parked: the memory controller's 100ns quantum lane — the only always-on
   // per-host periodic cost — stops until unpark(). Park only a quiescent
   // host (empty NIC/IIO/TX pipeline); in-flight datapath work would stall.
   void park() {

@@ -51,6 +51,7 @@ void IioBuffer::insert(net::PacketRef pkt, sim::Bytes credit_bytes, bool to_memo
     e.last = last_chunk;
     change_occupancy(credit_bytes, 0);
     memq_.push_back(std::move(e));
+    mem_wake();
     return;
   }
 

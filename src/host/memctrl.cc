@@ -7,26 +7,51 @@ namespace hostcc::host {
 
 void MemoryController::quantum() {
   obs::ProfScope scope(prof_);
+  // Idle with nothing host-local to poll: every offer is known to be zero.
+  // Once the EWMAs have settled at 0 the quantum changes nothing at all.
+  if (idle_ && host_local_sources_ == 0) {
+    if (!settled_) decay_idle();
+    return;
+  }
   const sim::Time now = sim_.now();
   const double cap = quantum_cap_bytes_;
 
   const std::size_t n = sources_.size();
-  offers_.resize(n);
-  grants_.assign(n, 0.0);
 
+  // While idle, the network-path sources are known to offer nothing until
+  // they call mem_wake(), so only the host-local ones are polled. Summing
+  // the skipped zero offers would not change any total.
+  const bool idle = idle_;
+  bool network_busy = false;
   double total_demand = 0.0;
   double total_pressure = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    offers_[i] = sources_[i]->mem_offer(now, cfg_.mc_quantum);
-    assert(offers_[i].demand_bytes >= 0.0 && offers_[i].pressure_bytes >= 0.0);
-    // A source with demand always has at least a cacheline of pressure.
-    if (offers_[i].demand_bytes > 0.0) {
-      offers_[i].pressure_bytes =
-          std::max(offers_[i].pressure_bytes, static_cast<double>(sim::kCacheline));
+    grants_[i] = 0.0;
+    MemSource::Offer& offer = offers_[i];
+    const bool network = network_path_[i] != 0;
+    if (idle && network) {
+      offer = {};
+      continue;
     }
-    total_demand += offers_[i].demand_bytes;
-    total_pressure += offers_[i].pressure_bytes;
+    offer = sources_[i]->mem_offer(now, cfg_.mc_quantum);
+    assert(offer.demand_bytes >= 0.0 && offer.pressure_bytes >= 0.0);
+    // A source with demand always has at least a cacheline of pressure, so
+    // an offer is all-zero exactly when its pressure is.
+    if (offer.demand_bytes > 0.0) {
+      offer.pressure_bytes = std::max(offer.pressure_bytes, static_cast<double>(sim::kCacheline));
+    }
+    network_busy |= network & (offer.pressure_bytes > 0.0);
+    total_demand += offer.demand_bytes;
+    total_pressure += offer.pressure_bytes;
   }
+  // Set before any grant: a wake raised from inside mem_granted (a drained
+  // IIO write delivering to the CPU) must not be overwritten.
+  idle_ = !network_busy;
+  if (total_pressure == 0.0) {
+    if (!settled_) decay_idle();
+    return;
+  }
+  settled_ = false;
 
   // Water-fill: proportional to pressure among unsatisfied sources, with
   // unused share redistributed. Converges in a handful of rounds.
@@ -51,6 +76,7 @@ void MemoryController::quantum() {
     if (distributed < 1.0) break;
   }
 
+  double served = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (grants_[i] > 0.0) {
       sources_[i]->mem_granted(now, grants_[i]);
@@ -58,17 +84,34 @@ void MemoryController::quantum() {
     }
     rate_ewma_[i].add(grants_[i] * grant_rate_scale_);
     pressure_ewma_[i].add(offers_[i].pressure_bytes);
+    served += grants_[i];
   }
 
   // Latency model: device load latency from smoothed utilization (service
   // plus a bounded backlog penalty when demand persistently exceeds
   // capacity) and a contention wait from resident request bytes (Little).
-  double served = 0.0;
-  for (std::size_t i = 0; i < n; ++i) served += grants_[i];
   const double backlog_penalty = std::min((total_demand - served) * inv_quantum_cap_, 0.3);
   const double rho = served * inv_quantum_cap_ + std::max(backlog_penalty, 0.0);
   util_ewma_.add(rho);
+  update_latency(total_pressure);
+}
 
+// A quantum in which no source offered anything. The water-fill would
+// grant nothing, so only the zero-sample EWMA updates remain; they are
+// bit-identical to the full quantum's (every grant and rho is +0.0).
+void MemoryController::decay_idle() {
+  bool all_zero = true;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    rate_ewma_[i].add(0.0);
+    pressure_ewma_[i].add(0.0);
+    all_zero = all_zero && rate_ewma_[i].value() == 0.0 && pressure_ewma_[i].value() == 0.0;
+  }
+  util_ewma_.add(0.0);
+  update_latency(0.0);
+  settled_ = all_zero && util_ewma_.value() == 0.0;
+}
+
+void MemoryController::update_latency(double total_pressure) {
   const auto& curve = HostConfig::kDramExtraCurve;
   constexpr std::size_t kPoints = std::size(curve);
   const double u = std::clamp(util_ewma_.value(), curve[0].util, curve[kPoints - 1].util);

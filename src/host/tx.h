@@ -39,6 +39,7 @@ class TxPath : public MemSource {
     }
     queued_cost_ += cost(*p);
     q_.push_back(std::move(p));
+    mem_wake();
     pump();
   }
   // By-value bridge (unit tests / standalone use): stages into a local pool.

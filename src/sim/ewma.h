@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cassert>
+#include <cfloat>
+#include <cmath>
 
 namespace hostcc::sim {
 
@@ -21,6 +23,12 @@ class Ewma {
       return;
     }
     value_ += weight_ * (sample - value_);
+    // A zero sample is a pure decay. Left alone it walks the value down
+    // through the subnormal range, where every op costs ~100x a normal one
+    // on x86, and then sticks at the smallest subnormal (weight * value
+    // rounds to 0). Flush it to exact 0 instead. Testing the sample first
+    // keeps the check off the non-zero-sample path.
+    if (sample == 0.0 && std::fabs(value_) < DBL_MIN) [[unlikely]] value_ = 0.0;
   }
 
   double value() const { return value_; }

@@ -9,7 +9,7 @@
 // period. The lane draws its seq from the same counter the heap uses, at
 // the same instant a pushed tick would have consumed it, so the merge
 // order is exactly the order the heap-based implementation produced —
-// sub-nanosecond cadences (the memory controller ticks every 50ns) stop
+// sub-microsecond cadences (the memory controller ticks every 100ns) stop
 // dominating the event core without perturbing any schedule.
 #pragma once
 

@@ -2,13 +2,23 @@
 // bank, memory controller, DDIO model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+
 #include "apps/mem_app.h"
 #include "host/config.h"
+#include "host/cpu.h"
 #include "host/ddio.h"
 #include "host/host.h"
+#include "host/iio.h"
 #include "host/mba.h"
 #include "host/memctrl.h"
 #include "host/msr.h"
+#include "host/pcie.h"
+#include "host/tx.h"
+#include "net/packet.h"
+#include "sim/ewma.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 
@@ -253,6 +263,247 @@ TEST(MemControllerTest, CheckpointReportsPerSourceRates) {
   const auto rates = mc.checkpoint(sim.now());
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_NEAR(rates[0].as_gigabytes_per_sec(), 11.0, 0.5);
+}
+
+// ------------------------------------------- memory controller: idle path
+
+// A source whose offer the test sets. It counts polls, and give() reports
+// new work through the wake hook as a network-path source must.
+class SwitchedSource : public MemSource {
+ public:
+  std::string name() const override { return "switched"; }
+  Offer mem_offer(sim::Time, sim::Time) override {
+    ++polls;
+    return offer;
+  }
+  void mem_granted(sim::Time, double b) override { granted += b; }
+  void give(double bytes) {
+    offer = {bytes, bytes};
+    mem_wake();
+  }
+  Offer offer;
+  int polls = 0;
+  double granted = 0.0;
+};
+
+// Quanta tick at multiples of mc_quantum from t = 0; tests step from
+// half-quantum offsets so that every wake lands strictly between ticks.
+void run_quanta(sim::Simulator& sim, const HostConfig& cfg, double k) {
+  sim.run_until(sim.now() + cfg.mc_quantum * k);
+}
+
+// Schedules `fn` just after the first quantum tick that follows now.
+void after_next_tick(sim::Simulator& sim, const HostConfig& cfg, std::function<void()> fn) {
+  const std::int64_t q = cfg.mc_quantum.ps();
+  const std::int64_t next_tick = (sim.now().ps() / q + 1) * q;
+  sim.at(sim::Time::picoseconds(next_tick + 1), std::move(fn));
+}
+
+net::PacketRef test_packet(net::PacketPool& pool, sim::Bytes payload, net::FlowId flow = 1) {
+  net::PacketRef p = pool.make();
+  p->flow = flow;
+  p->payload = payload;
+  p->size = payload + net::kHeaderBytes;
+  return p;
+}
+
+TEST(MemControllerIdleTest, SilentSourceIsNotPolledUntilItWakes) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  SwitchedSource net, local;
+  mc.add_source(&net, true);
+  mc.add_source(&local, false);
+  run_quanta(sim, cfg, 1.5);  // the first quantum polls both: all zero
+  EXPECT_EQ(net.polls, 1);
+  EXPECT_EQ(local.polls, 1);
+  run_quanta(sim, cfg, 20);
+  EXPECT_EQ(net.polls, 1);     // idle: known to offer nothing
+  EXPECT_EQ(local.polls, 21);  // host-local: polled every quantum
+
+  net.give(1000);
+  run_quanta(sim, cfg, 1);
+  EXPECT_EQ(net.polls, 2);
+  EXPECT_DOUBLE_EQ(net.granted, 1000.0);
+  run_quanta(sim, cfg, 5);
+  EXPECT_EQ(net.polls, 7);  // busy sources are polled every quantum
+  EXPECT_DOUBLE_EQ(net.granted, 6000.0);
+
+  // Withdrawing work needs no wake; the next poll sees it and idles again.
+  net.offer = {};
+  run_quanta(sim, cfg, 10);
+  EXPECT_EQ(net.polls, 8);
+
+  // Unparking returns to polling even without a wake.
+  mc.set_quantum_active(false);
+  run_quanta(sim, cfg, 3);
+  net.offer = {500.0, 500.0};
+  mc.set_quantum_active(true);
+  run_quanta(sim, cfg, 1);
+  EXPECT_EQ(net.polls, 9);
+  EXPECT_DOUBLE_EQ(net.granted, 6500.0);
+}
+
+TEST(MemControllerIdleTest, IioMemoryInsertIsServedNextQuantum) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  cfg.iio_admit_latency = sim::Time::zero();  // eligible at once
+  MemoryController mc(sim, cfg);
+  MsrBank msrs(sim, cfg);
+  PcieLink pcie(sim, cfg);
+  IioBuffer iio(sim, cfg, msrs, pcie);
+  iio.set_memctrl(&mc);
+  mc.add_source(&iio, true);
+  int delivered = 0;
+  iio.set_deliver([&](net::PacketRef, bool) { ++delivered; });
+  run_quanta(sim, cfg, 10.5);
+
+  net::PacketPool pool;
+  iio.insert(test_packet(pool, 1000), 1024, /*to_memory=*/true, /*eviction=*/false,
+             /*last_chunk=*/true);
+  run_quanta(sim, cfg, 1);
+  EXPECT_EQ(mc.granted_bytes(0), 1024);
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST(MemControllerIdleTest, CpuDeliverIsServedNextQuantum) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  LlcDdio ddio(cfg, sim::Rng(1));
+  CpuComplex cpu(sim, cfg, mc, ddio);
+  mc.add_source(&cpu, true);
+  run_quanta(sim, cfg, 10.5);
+  EXPECT_EQ(mc.queue_wait(), sim::Time::zero());
+
+  net::PacketPool pool;
+  cpu.deliver(test_packet(pool, 4000), /*from_llc=*/false);
+  run_quanta(sim, cfg, 1);
+  // Polled: the busy core's outstanding requests are resident pressure.
+  EXPECT_GT(mc.queue_wait(), sim::Time::zero());
+}
+
+TEST(MemControllerIdleTest, CopyBacklogGrowthIsServedNextQuantum) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  cfg.cpu_mem_stalls_per_byte = 0.0;  // a busy core puts no pressure on DRAM
+  MemoryController mc(sim, cfg);
+  LlcDdio ddio(cfg, sim::Rng(1));
+  CpuComplex cpu(sim, cfg, mc, ddio);
+  mc.add_source(&cpu, true);
+  // The copy traffic appears as processing finishes; the first tick after
+  // that serves it.
+  sim::Bytes at_finish = -1;
+  sim::Bytes after_tick = -1;
+  cpu.set_stack_rx([&](net::Packet&) {
+    at_finish = mc.granted_bytes(0);
+    after_next_tick(sim, cfg, [&] { after_tick = mc.granted_bytes(0); });
+  });
+  run_quanta(sim, cfg, 10.5);
+
+  net::PacketPool pool;
+  cpu.deliver(test_packet(pool, 4000), /*from_llc=*/false);
+  run_quanta(sim, cfg, 100);
+  EXPECT_EQ(at_finish, 0);
+  EXPECT_GT(after_tick, 0);
+}
+
+TEST(MemControllerIdleTest, TxSendIsServedNextQuantum) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  TxPath tx(cfg);
+  mc.add_source(&tx, true);
+  int out = 0;
+  tx.set_egress([&](const net::Packet&) { ++out; });
+  run_quanta(sim, cfg, 10.5);
+
+  net::Packet p;
+  p.size = 4096;
+  p.payload = 4096 - net::kHeaderBytes;
+  tx.send(p);
+  EXPECT_EQ(out, 0);  // needs its DMA-read budget first
+  run_quanta(sim, cfg, 1);
+  EXPECT_EQ(out, 1);
+}
+
+TEST(MemControllerIdleTest, MappUnpausedFromMbaLevel4IsServedNextQuantum) {
+  sim::Simulator sim;
+  HostModel host(sim, HostConfig{}, "h");
+  const HostConfig& cfg = host.config();
+  apps::MemApp mapp(host, 8);
+  const std::size_t mapp_idx = host.memctrl().source_count() - 1;
+  sim::Bytes at_unpause = -1;
+  sim::Bytes after_tick = -1;
+  host.mba().set_on_level_change([&](int level) {
+    if (level != 0) return;
+    at_unpause = host.memctrl().granted_bytes(mapp_idx);
+    after_next_tick(sim, cfg, [&] { after_tick = host.memctrl().granted_bytes(mapp_idx); });
+  });
+
+  host.mba().request_level(MbaThrottle::kMaxLevel);
+  while (!host.mba().paused()) run_quanta(sim, cfg, 1);
+  run_quanta(sim, cfg, 50);  // the in-service slots drain
+  const sim::Bytes paused_bytes = host.memctrl().granted_bytes(mapp_idx);
+  run_quanta(sim, cfg, 100);
+  EXPECT_EQ(host.memctrl().granted_bytes(mapp_idx), paused_bytes);
+
+  run_quanta(sim, cfg, 0.5);  // the MSR write then lands between ticks
+  host.mba().request_level(0);
+  while (host.mba().paused()) run_quanta(sim, cfg, 1);
+  run_quanta(sim, cfg, 2);
+  EXPECT_EQ(at_unpause, paused_bytes);
+  EXPECT_GT(after_tick, paused_bytes);
+}
+
+// The memory controller's extra device latency for a smoothed utilization,
+// written out independently of MemoryController.
+sim::Time dram_extra_latency(double util) {
+  const auto& c = HostConfig::kDramExtraCurve;
+  constexpr std::size_t n = std::size(c);
+  const double u = std::clamp(util, c[0].util, c[n - 1].util);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (u <= c[i].util) {
+      const double f = (u - c[i - 1].util) / (c[i].util - c[i - 1].util);
+      return sim::Time::nanoseconds(c[i - 1].extra_ns + f * (c[i].extra_ns - c[i - 1].extra_ns));
+    }
+  }
+  return sim::Time::nanoseconds(c[n - 1].extra_ns);
+}
+
+TEST(MemControllerIdleTest, IdleQuantaMatchZeroSampleEwmaUpdatesBitForBit) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  MemoryController mc(sim, cfg);
+  SwitchedSource a;
+  mc.add_source(&a, true);
+  a.give(3000);
+  run_quanta(sim, cfg, 200.5);
+  a.offer = {};
+
+  // Reference EWMAs seeded with the controller's state after the last
+  // loaded quantum (overload() is the raw smoothed utilization).
+  sim::Ewma util(cfg.mc_util_ewma_weight);
+  util.add(mc.overload());
+  sim::Ewma rate(0.02);
+  rate.add(mc.granted_rate(0).bits_per_sec());
+  ASSERT_GT(util.value(), 0.5);
+  ASSERT_GT(rate.value(), 1e11);
+
+  // 60k quanta decay every value through the subnormal range to 0.
+  for (int k = 1; k <= 60000; ++k) {
+    run_quanta(sim, cfg, 1);
+    util.add(0.0);
+    rate.add(0.0);
+    ASSERT_EQ(mc.overload(), util.value()) << "k=" << k;
+    ASSERT_EQ(mc.utilization(), std::clamp(util.value(), 0.0, 1.0)) << "k=" << k;
+    ASSERT_EQ(mc.granted_rate(0).bits_per_sec(), rate.value()) << "k=" << k;
+    ASSERT_EQ(mc.extra_latency(), dram_extra_latency(util.value())) << "k=" << k;
+    ASSERT_EQ(mc.queue_wait(), sim::Time::zero()) << "k=" << k;
+  }
+  EXPECT_EQ(a.polls, 201);
+  EXPECT_EQ(mc.overload(), 0.0);
+  EXPECT_EQ(mc.granted_rate(0).bits_per_sec(), 0.0);
 }
 
 // ------------------------------------------------------------------ DDIO

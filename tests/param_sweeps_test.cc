@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -55,6 +56,11 @@ struct DistCase {
   const char* name;
   int kind;  // 0 uniform, 1 exponential-ish, 2 bimodal
 };
+
+// gtest writes the printed parameter into each listed test name; the
+// default printer dumps raw bytes (a string address and struct padding),
+// which would make the name differ from one build to the next.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.name; }
 
 class HistogramDistSweep : public ::testing::TestWithParam<DistCase> {};
 

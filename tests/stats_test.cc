@@ -165,6 +165,39 @@ TEST(EwmaTest, StepResponseMatchesClosedForm) {
   EXPECT_NEAR(e.value(), expected, 1e-12);
 }
 
+TEST(EwmaTest, ZeroSampleDecayFlushesInsteadOfGoingSubnormal) {
+  for (const double w : {0.02, 0.05, 0.125, 0.5}) {
+    Ewma e(w);
+    e.add(4.4e10);
+    int steps = 0;
+    while (e.value() != 0.0) {
+      e.add(0.0);
+      ASSERT_NE(std::fpclassify(e.value()), FP_SUBNORMAL) << "w=" << w << " step=" << steps;
+      ASSERT_LT(++steps, 1'000'000) << "w=" << w << ": decay never reached 0";
+    }
+    EXPECT_EQ(e.value(), 0.0);
+    EXPECT_FALSE(std::signbit(e.value()));
+    e.add(0.0);
+    EXPECT_EQ(e.value(), 0.0);
+  }
+}
+
+TEST(EwmaTest, NonZeroSamplesMatchInlineUpdateBitForBit) {
+  const double w = 0.02;
+  Ewma e(w);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> d(1e-300, 1e12);
+  double v = 3.0;
+  e.add(v);
+  for (int i = 0; i < 10000; ++i) {
+    // Tiny samples too: only a zero sample may flush.
+    const double x = i % 7 == 0 ? 1e-310 : d(rng);
+    v += w * (x - v);
+    e.add(x);
+    ASSERT_EQ(e.value(), v) << "i=" << i;
+  }
+}
+
 TEST(EwmaTest, StaysWithinInputRange) {
   Ewma e(0.3);
   std::mt19937_64 rng(11);

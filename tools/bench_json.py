@@ -37,6 +37,7 @@ from pathlib import Path
 DEFAULT_FILTER = (
     "BM_EventQueuePushPop$|BM_EventCancellation|BM_EventQueuePushPopRefCapture|"
     "BM_SimulatorTimerChurn|BM_EwmaAdd|BM_HistogramRecord|BM_MemControllerQuantum|"
+    "BM_MemControllerIdleQuantum|"
     "BM_ScenarioPacketsPerSecond|BM_FabricHostScaling|BM_FabricShardScaling|"
     "BM_HybridFidelityScaling|BM_HostDatapathTracer|BM_ScenarioProfilerOverhead|"
     "BM_WorkloadChurn"
@@ -57,6 +58,11 @@ RATIO_GATES = [
     # tier must deliver >= 3x the packet throughput (measured ~15x; the
     # floor leaves headroom for noisy CI machines).
     ("BM_HybridFidelityScaling/64/1", "BM_HybridFidelityScaling/64/0", 3.0),
+    # An idle host's memory-controller quantum vs a loaded 4-source one:
+    # idle quanta skip the poll and the water-fill, and their EWMA decays
+    # stop at 0 instead of crawling through subnormals, so they must run
+    # >= 3x as many per second.
+    ("BM_MemControllerIdleQuantum", "BM_MemControllerQuantum", 3.0),
 ]
 
 
