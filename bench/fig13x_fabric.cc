@@ -18,6 +18,7 @@
 //   --telemetry DIR   per-run fabric occupancy time-series: DIR/<tag>.csv
 //                     (wide CSV) and DIR/<tag>_trace.json (Chrome counter
 //                     tracks), also byte-identical across repeats.
+//   --shards N        worker threads, >= 1 (same bytes for every N)
 //
 // Every run audits each switch's shared-buffer ledger; a violation fails
 // the binary.
@@ -38,7 +39,7 @@ namespace {
 struct Options {
   bool quick = false;
   bool json = false;
-  int shards = 0;  // 0 = classic single loop; N >= 1 sharded (same bytes)
+  int shards = 1;  // worker threads, >= 1 (same bytes for every N)
   std::string telemetry_dir;
   bool obs() const { return json || !telemetry_dir.empty(); }
 };
@@ -122,10 +123,10 @@ int main(int argc, char** argv) {
       opt.json = true;
     } else if (a == "--telemetry" && i + 1 < argc) {
       opt.telemetry_dir = argv[++i];
-    } else if (a == "--shards" && i + 1 < argc) {
+    } else if (a == "--shards" && i + 1 < argc && std::atoi(argv[i + 1]) >= 1) {
       opt.shards = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N] [--telemetry DIR]\n",
+      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N>=1] [--telemetry DIR]\n",
                    argv[0]);
       return 2;
     }

@@ -24,7 +24,7 @@
 //
 //   --json     byte-stable machine-readable results (no wall-clock)
 //   --quick    shorter windows (CI)
-//   --shards N sharded execution (same bytes for every N >= 1)
+//   --shards N worker threads, >= 1 (same bytes for every N)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +41,7 @@ namespace {
 struct Options {
   bool quick = false;
   bool json = false;
-  int shards = 0;
+  int shards = 1;
 };
 
 struct RunOut {
@@ -120,10 +120,10 @@ int main(int argc, char** argv) {
       opt.quick = true;
     } else if (a == "--json") {
       opt.json = true;
-    } else if (a == "--shards" && i + 1 < argc) {
+    } else if (a == "--shards" && i + 1 < argc && std::atoi(argv[i + 1]) >= 1) {
       opt.shards = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N>=1]\n", argv[0]);
       return 2;
     }
   }

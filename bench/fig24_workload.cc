@@ -11,7 +11,7 @@
 //   --quick     shorter windows (CI smoke)
 //   --json      machine-readable rows incl. the by-size buckets (no
 //               wall-clock fields)
-//   --shards N  sharded execution (byte-identical results)
+//   --shards N  worker threads, >= 1 (byte-identical results)
 #include <cstdio>
 #include <cstring>
 #include <sstream>

@@ -5,11 +5,10 @@
 //   --jobs N    run the sweep's configurations on N threads (0 = all
 //               hardware threads) via sim::SweepRunner; results are
 //               byte-identical for every N
-//   --shards N  run each fabric configuration as a sharded simulation on
-//               N worker threads (exp::FabricScenarioConfig::shards;
-//               0 = classic single-simulator run); results are
-//               byte-identical for every N >= 1. When both --jobs and
-//               --shards are active, pass opts.shards to SweepRunner's
+//   --shards N  run each fabric configuration on N >= 1 worker threads
+//               (exp::FabricScenarioConfig::shards, default 1); results
+//               are byte-identical for every N. When both --jobs and
+//               --shards are above 1, pass opts.shards to SweepRunner's
 //               shards_per_task so jobs x shards stays within the
 //               hardware concurrency.
 //
@@ -37,7 +36,7 @@ namespace hostcc::exp {
 struct BenchOpts {
   bool quick = false;
   int jobs = 1;
-  int shards = 0;  // 0 = unsharded (legacy single-simulator scenario)
+  int shards = 1;  // fabric worker threads (FabricScenarioConfig::shards)
 };
 
 // Parses the shared flags; `extra_flags` names the binary-specific ones
@@ -87,6 +86,10 @@ inline BenchOpts parse_bench_opts(int argc, char** argv,
       msg += e;
     }
     throw std::invalid_argument(msg);
+  }
+  if (opts.shards < 1) {
+    throw std::invalid_argument("--shards must be >= 1 worker thread (got " +
+                                std::to_string(opts.shards) + ")");
   }
   return opts;
 }

@@ -43,8 +43,9 @@ std::vector<std::string> validate(const FabricScenarioConfig& cfg,
     errs.push_back("fabric_scenario.flow_bytes must be >= 0 (got " +
                    std::to_string(cfg.flow_bytes) + ")");
   }
-  if (cfg.shards < 0) {
-    errs.push_back("fabric_scenario.shards must be >= 0 (got " + std::to_string(cfg.shards) + ")");
+  if (cfg.shards < 1) {
+    errs.push_back("fabric_scenario.shards must be >= 1 worker thread (got " +
+                   std::to_string(cfg.shards) + ")");
   }
   if (cfg.mapp_degree < 0.0) errs.push_back("fabric_scenario.mapp_degree must be >= 0");
   if (cfg.congested_hosts < 0) errs.push_back("fabric_scenario.congested_hosts must be >= 0");
@@ -231,37 +232,31 @@ void FabricScenario::build() {
   const std::vector<int> host_nodes = topo->host_nodes();
   const int n_hosts = cfg_.hosts > 0 ? cfg_.hosts : static_cast<int>(host_nodes.size());
 
-  // Sharded engine: partition the topology into per-switch cells, build
-  // one event loop per cell, and register one SPSC channel per cross-cell
-  // arc (in topology arc order — the deterministic delivery tie-break).
+  // Partition the topology into per-switch cells, build one event loop
+  // per cell, and register one SPSC channel per cross-cell arc (in
+  // topology arc order — the deterministic delivery tie-break).
   // `--shards N` only picks how many threads execute the cells; the
   // partition and the channels are pure functions of the topology, which
-  // is why output is byte-identical for every N >= 1.
-  if (cfg_.shards > 0) {
-    plan_ = fabric::partition_topology(*topo);
-    engine_ = std::make_unique<sim::ShardedSimulator>(plan_.cells, plan_.lookahead, cfg_.shards);
-    channels_ = std::make_unique<sim::ShardChannels<net::Packet>>(plan_.cells);
-    engine_->set_epoch_hook([this](int cell, std::int64_t epoch, sim::Time window_end) {
-      channels_->begin_epoch(cell, epoch, window_end, engine_->cell(cell));
-    });
-    fabric::FabricShardHooks hooks;
-    hooks.plan = &plan_;
-    hooks.cell_sim = [this](int c) -> sim::Simulator& { return engine_->cell(c); };
-    hooks.make_channel = [this](int from_cell, int to_cell,
-                                std::function<void(const net::Packet&)> deliver) {
-      const int id = channels_->add_channel(from_cell, to_cell, std::move(deliver));
-      return [this, id](sim::Time due, const net::Packet& p) { channels_->push(id, due, p); };
-    };
-    fabric_ = std::make_unique<fabric::Fabric>(engine_->cell(0), *topo, cfg_.fabric, coalesced,
-                                               std::move(hooks));
-  } else {
-    fabric_ = std::make_unique<fabric::Fabric>(sim_, *topo, cfg_.fabric, coalesced);
-  }
-  const int ncells = sharded() ? plan_.cells : 1;
+  // is why output is byte-identical for every N.
+  plan_ = fabric::partition_topology(*topo);
+  engine_ = std::make_unique<sim::ShardedSimulator>(plan_.cells, plan_.lookahead, cfg_.shards);
+  channels_ = std::make_unique<sim::ShardChannels<net::Packet>>(plan_.cells);
+  engine_->set_epoch_hook([this](int cell, std::int64_t epoch, sim::Time window_end) {
+    channels_->begin_epoch(cell, epoch, window_end, engine_->cell(cell));
+  });
+  fabric::FabricShardHooks hooks;
+  hooks.plan = &plan_;
+  hooks.cell_sim = [this](int c) -> sim::Simulator& { return engine_->cell(c); };
+  hooks.make_channel = [this](int from_cell, int to_cell,
+                              std::function<void(const net::Packet&)> deliver) {
+    const int id = channels_->add_channel(from_cell, to_cell, std::move(deliver));
+    return [this, id](sim::Time due, const net::Packet& p) { channels_->push(id, due, p); };
+  };
+  fabric_ = std::make_unique<fabric::Fabric>(engine_->cell(0), *topo, cfg_.fabric, coalesced,
+                                             std::move(hooks));
+  const int ncells = plan_.cells;
   host_cell_.assign(n_hosts, 0);
-  if (sharded()) {
-    for (int i = 0; i < n_hosts; ++i) host_cell_[i] = plan_.cell_of_node[host_nodes[i]];
-  }
+  for (int i = 0; i < n_hosts; ++i) host_cell_[i] = plan_.cell_of_node[host_nodes[i]];
 
   // Flow destinations: incast concentrates on host 0; all-to-all makes
   // every host a destination. MApps/hostCC ride the first
@@ -290,18 +285,15 @@ void FabricScenario::build() {
     return false;
   };
 
-  // One shared FlowStats across every stack, attached before any
-  // connection exists (the disabled path is the null pointer the stacks
-  // hold by default). Records are keyed (flow, src) so sharing is safe.
-  // Sharded: one FlowStats per cell instead, so every hook fires on its
-  // owning thread (sender-side fields land in the sender's cell, delivery
-  // bytes in the receiver's); run_measure() reunites them via merge_from.
+  // One FlowStats per cell, shared by that cell's stacks and attached
+  // before any connection exists (the disabled path is the null pointer
+  // the stacks hold by default). Records are keyed (flow, src) and every
+  // hook fires on its owning thread (sender-side fields land in the
+  // sender's cell, delivery bytes in the receiver's); run_measure()
+  // reunites them via merge_from.
   if (cfg_.record_flow_stats) {
-    flow_stats_ = obs::FlowStats(cfg_.flow_stats);
-    if (sharded()) {
-      for (int c = 0; c < ncells; ++c) {
-        cell_flow_stats_.push_back(std::make_unique<obs::FlowStats>(cfg_.flow_stats));
-      }
+    for (int c = 0; c < ncells; ++c) {
+      cell_flow_stats_.push_back(std::make_unique<obs::FlowStats>(cfg_.flow_stats));
     }
   }
 
@@ -337,7 +329,7 @@ void FabricScenario::build() {
       up.set_on_dequeue([sp](const net::Packet& p) { sp->uplink_dequeued(p); });
       slot->wire(fabric_.get(), &up, fabric_->host_switch_idx(id), fabric_->host_port_idx(id));
       if (cfg_.record_flow_stats) {
-        slot->set_flow_stats(sharded() ? cell_flow_stats_[host_cell_[i]].get() : &flow_stats_);
+        slot->set_flow_stats(cell_flow_stats_[host_cell_[i]].get());
       }
       slots_.push_back(std::move(slot));
       continue;
@@ -345,7 +337,7 @@ void FabricScenario::build() {
     auto h = std::make_unique<host::HostModel>(hsim, hc, name);
     auto stack = std::make_unique<transport::Stack>(hsim, *h, id, cfg_.transport);
     if (cfg_.record_flow_stats) {
-      stack->set_flow_stats(sharded() ? cell_flow_stats_[host_cell_[i]].get() : &flow_stats_);
+      stack->set_flow_stats(cell_flow_stats_[host_cell_[i]].get());
     }
 
     host::HostModel* hp = h.get();
@@ -372,18 +364,12 @@ void FabricScenario::build() {
   }
   fabric_->finalize();
 
-  // Fabric-wide pause accounting: one ledger per cell when parallel (each
-  // touched only by its owning thread), a single one otherwise; folded
-  // into pause_ledger_ by run_measure().
+  // Fabric-wide pause accounting: one ledger per cell (each touched only
+  // by its owning thread), folded into pause_ledger_ by run_measure().
   if (cfg_.lossless) {
-    if (sharded() && plan_.parallel()) {
-      for (int c = 0; c < ncells; ++c) {
-        cell_ledgers_.push_back(std::make_unique<fabric::PauseLedger>());
-        fabric_->set_pause_ledger(cell_ledgers_.back().get(), c);
-      }
-    } else {
+    for (int c = 0; c < ncells; ++c) {
       cell_ledgers_.push_back(std::make_unique<fabric::PauseLedger>());
-      fabric_->set_pause_ledger(cell_ledgers_.back().get());
+      fabric_->set_pause_ledger(cell_ledgers_.back().get(), c);
     }
   }
 
@@ -465,14 +451,10 @@ void FabricScenario::build() {
     if (cfg_.hostcc_enabled) {
       auto ctl = std::make_unique<core::HostCcController>(*hm, cfg_.hostcc);
       if (cfg_.record_decisions) {
-        if (sharded()) {
-          // Controllers on different cells tick on different threads; each
-          // logs privately and run_measure() merges time-ordered.
-          ctl_decisions_.push_back(std::make_unique<obs::DecisionLog>());
-          ctl->set_decision_log(ctl_decisions_.back().get());
-        } else {
-          ctl->set_decision_log(&decisions_);
-        }
+        // Controllers on different cells tick on different threads; each
+        // logs privately and run_measure() merges time-ordered.
+        ctl_decisions_.push_back(std::make_unique<obs::DecisionLog>());
+        ctl->set_decision_log(ctl_decisions_.back().get());
       }
       ctl->start();
       controllers_.push_back(std::move(ctl));
@@ -505,14 +487,10 @@ void FabricScenario::build() {
       auto mgr = std::make_unique<FidelityManager>(cell_sim(c), fc, fabric_.get(),
                                                    std::move(cell_slots));
       if (cfg_.record_decisions) {
-        if (sharded()) {
-          // Same per-thread staging as the controllers' logs; merged
-          // time-ordered in run_measure().
-          mgr_decisions_.push_back(std::make_unique<obs::DecisionLog>());
-          mgr->set_decision_log(mgr_decisions_.back().get());
-        } else {
-          mgr->set_decision_log(&decisions_);
-        }
+        // Same per-thread staging as the controllers' logs; merged
+        // time-ordered in run_measure().
+        mgr_decisions_.push_back(std::make_unique<obs::DecisionLog>());
+        mgr->set_decision_log(mgr_decisions_.back().get());
       }
       mgr->start();
       managers_.push_back(std::move(mgr));
@@ -528,44 +506,44 @@ void FabricScenario::build() {
       host_checkers_.push_back(std::make_unique<faults::InvariantChecker>(*h));
       host_checkers_.back()->start();
     }
+    // One checker per cell over that cell's switches, on the cell's own
+    // loop: every ledger read stays on the owning thread. The deep
+    // whole-fabric sweeps (dangling XOFF, deadlock cycles) read every
+    // cell's pause state; a multi-cell run makes them from the engine's
+    // boundary tick instead, single-threaded at the first quiesced epoch
+    // end at or after each check period, and once more at the measurement
+    // boundary in run_measure(). A 1-cell run keeps them on its only
+    // checker's timer.
     faults::FabricInvariantConfig icfg;
     icfg.storm_breaker = cfg_.storm_breaker;
-    if (sharded() && plan_.parallel()) {
-      // One checker per cell over that cell's switches, on the cell's own
-      // loop: every ledger read stays on the owning thread. The deep
-      // whole-fabric sweeps (dangling XOFF, deadlock cycles) read every
-      // cell's pause state, so they are deferred to the quiesced
-      // measurement boundary in run_measure().
-      icfg.deep_periodic = false;
-      for (int c = 0; c < ncells; ++c) {
-        std::vector<int> subset;
-        for (int s = 0; s < fabric_->switch_count(); ++s) {
-          if (fabric_->cell_of_switch(s) == c) subset.push_back(s);
-        }
-        if (subset.empty()) continue;
-        fabric_checkers_.push_back(std::make_unique<faults::FabricInvariantChecker>(
-            engine_->cell(c), *fabric_, std::move(subset), icfg));
-        fabric_checkers_.back()->start();
+    icfg.deep_periodic = !plan_.parallel();
+    for (int c = 0; c < ncells; ++c) {
+      std::vector<int> subset;
+      for (int s = 0; s < fabric_->switch_count(); ++s) {
+        if (fabric_->cell_of_switch(s) == c) subset.push_back(s);
       }
-    } else {
-      fabric_checkers_.push_back(
-          std::make_unique<faults::FabricInvariantChecker>(cell_sim(0), *fabric_, icfg));
+      if (subset.empty()) continue;
+      fabric_checkers_.push_back(std::make_unique<faults::FabricInvariantChecker>(
+          cell_sim(c), *fabric_, std::move(subset), icfg));
       fabric_checkers_.back()->start();
+    }
+    if (cfg_.lossless && plan_.parallel()) {
+      engine_->set_boundary_tick(icfg.period, [this] { fabric_checkers_[0]->check_deep_now(); });
     }
   }
 
   // Fault injection: numeric link targets are uplink indices (= HostIds);
-  // named targets resolve through the fabric's edge surface. Sharded runs
-  // build one injector per cell, armed on that cell's loop and scoped so
-  // each side effect (uplink toggles, per-port edge faults, MSR/MBA hooks)
-  // lands on the thread that owns the component. Every injector replays
-  // the same plan at the same sim times, so the composition is exactly the
-  // unsharded fault schedule.
+  // named targets resolve through the fabric's edge surface. One injector
+  // per cell, armed on that cell's loop and scoped so each side effect
+  // (uplink toggles, per-port edge faults, MSR/MBA hooks) lands on the
+  // thread that owns the component. Every injector replays the same plan
+  // at the same sim times, so the composition is exactly the whole-fabric
+  // fault schedule.
   if (!cfg_.faults.empty()) {
     const int sampler_host = controllers_.empty() ? 0 : controller_host_[0];
     for (int c = 0; c < ncells; ++c) {
       auto inj = std::make_unique<faults::FaultInjector>(cell_sim(c), cfg_.faults);
-      if (sharded() && plan_.parallel()) inj->set_edge_cell_scope(c);
+      inj->set_edge_cell_scope(c);
       if (host_cell_[0] == c) {
         // Host 0's MSR/MBA surfaces exist only on a full-tier host;
         // validation already rejected the fault kinds that need them when
@@ -653,12 +631,9 @@ void FabricScenario::build() {
   for (std::size_t i = 0; i < host_checkers_.size(); ++i) {
     host_checkers_[i]->register_metrics(metrics_, hosts_[i]->name() + "/invariants");
   }
-  // Sharded runs aggregate their per-cell checkers/injectors under the
-  // legacy metric names (the single-instance paths keep the exact legacy
-  // registration).
-  if (fabric_checkers_.size() == 1) {
-    fabric_checkers_[0]->register_metrics(metrics_, "fabric/invariants");
-  } else if (!fabric_checkers_.empty()) {
+  // The per-cell checkers and injectors export one set of metrics, under
+  // the names a single instance registers: sums, and the peak tree depth.
+  if (!fabric_checkers_.empty()) {
     metrics_.counter_fn("fabric/invariants/checks", [this] {
       std::uint64_t n = 0;
       for (auto& c : fabric_checkers_) n += c->checks_run();
@@ -679,10 +654,18 @@ void FabricScenario::build() {
             return n;
           });
     }
+    metrics_.gauge("fabric/invariants/pause_tree_depth_peak", [this] {
+      int d = 0;
+      for (auto& c : fabric_checkers_) d = std::max(d, c->tree_depth_peak());
+      return static_cast<double>(d);
+    });
+    metrics_.counter_fn("fabric/invariants/storm_breaks", [this] {
+      std::uint64_t n = 0;
+      for (auto& c : fabric_checkers_) n += c->storm_breaks();
+      return n;
+    });
   }
-  if (injectors_.size() == 1) {
-    injectors_[0]->register_metrics(metrics_, "faults");
-  } else if (!injectors_.empty()) {
+  if (!injectors_.empty()) {
     metrics_.counter_fn("faults/activations", [this] {
       std::uint64_t n = 0;
       for (auto& j : injectors_) n += j->activations();
@@ -714,7 +697,7 @@ void FabricScenario::build() {
       fabric::FabricSwitch* sw = &fabric_->switch_at(s);
       // A group's telemetry domain is its owning cell: the sampler lambdas
       // below then always run on the thread that owns the state they read.
-      const int pid = telemetry_.add_group(sw->name(), sharded() ? fabric_->cell_of_switch(s) : 0);
+      const int pid = telemetry_.add_group(sw->name(), fabric_->cell_of_switch(s));
       telemetry_.add_series(pid, "occupancy_bytes",
                             [sw] { return static_cast<std::int64_t>(sw->occupancy()); });
       if (cfg_.lossless) {
@@ -741,7 +724,7 @@ void FabricScenario::build() {
     }
     for (std::size_t i = 0; i < hosts_.size(); ++i) {
       host::HostModel* hp = hosts_[i].get();
-      const int pid = telemetry_.add_group(hp->name(), sharded() ? host_cell_[i] : 0);
+      const int pid = telemetry_.add_group(hp->name(), host_cell_[i]);
       telemetry_.add_series(pid, "nic_queued_bytes", [hp] {
         return static_cast<std::int64_t>(hp->nic().queued_bytes());
       });
@@ -754,7 +737,7 @@ void FabricScenario::build() {
     // lambdas run on the slot's owning cell thread.
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       HostSlot* sp = slots_[i].get();
-      const int pid = telemetry_.add_group(sp->name(), sharded() ? host_cell_[i] : 0);
+      const int pid = telemetry_.add_group(sp->name(), host_cell_[i]);
       telemetry_.add_series(
           pid, "tier", [sp] { return static_cast<std::int64_t>(sp->full_active() ? 1 : 0); });
       telemetry_.add_series(pid, "nic_queued_bytes", [sp] {
@@ -775,8 +758,7 @@ void FabricScenario::build() {
           if (host_cell_[i] == c) cs.push_back(slots_[i].get());
         }
         if (cs.empty()) continue;
-        const int pid =
-            telemetry_.add_group("fidelity/cell" + std::to_string(c), sharded() ? c : 0);
+        const int pid = telemetry_.add_group("fidelity/cell" + std::to_string(c), c);
         telemetry_.add_series(pid, "hosts_full", [cs] {
           std::int64_t n = 0;
           for (HostSlot* s : cs) n += s->full_active() ? 1 : 0;
@@ -799,13 +781,9 @@ void FabricScenario::build() {
         });
       }
     }
-    if (sharded()) {
-      std::vector<sim::Simulator*> sims;
-      for (int c = 0; c < ncells; ++c) sims.push_back(&engine_->cell(c));
-      telemetry_.start_multi(sims);
-    } else {
-      telemetry_.start(sim_);
-    }
+    std::vector<sim::Simulator*> sims;
+    for (int c = 0; c < ncells; ++c) sims.push_back(&engine_->cell(c));
+    telemetry_.start_multi(sims);
   }
 
   if (cfg_.profile) attach_profiler(true);
@@ -844,9 +822,7 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
     const auto flow_of = [&](int s, int d, int k) {
       return kWorkloadFlowBase + (static_cast<net::FlowId>(s) * n_hosts + d) * spp + k;
     };
-    const auto stats_of = [&](int i) {
-      return sharded() ? cell_flow_stats_[host_cell_[i]].get() : &flow_stats_;
-    };
+    const auto stats_of = [&](int i) { return cell_flow_stats_[host_cell_[i]].get(); };
     for (int i = 0; i < n_hosts; ++i) hosts_[i]->prewarm_rx_queues();
     for (int s = 0; s < n_hosts; ++s) {
       for (int d = 0; d < n_hosts; ++d) {
@@ -926,64 +902,39 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
 }
 
 void FabricScenario::attach_profiler(bool enable) {
-  if (sharded()) {
-    // One profiler per cell (scope enter/exit and the self-time stack are
-    // single-threaded state); run_measure() folds them into profiler_.
-    if (cell_profilers_.empty()) {
-      for (int c = 0; c < plan_.cells; ++c) {
-        cell_profilers_.push_back(std::make_unique<obs::SimProfiler>());
-      }
-    }
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      hosts_[i]->set_profiler(cell_profilers_[host_cell_[i]].get());
-      stacks_[i]->set_profiler(
-          cell_profilers_[host_cell_[i]]->handle(hosts_[i]->name() + "/transport"));
-    }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (host::HostModel* hm = slots_[i]->full_host()) {
-        hm->set_profiler(cell_profilers_[host_cell_[i]].get());
-        slots_[i]->stack()->set_profiler(
-            cell_profilers_[host_cell_[i]]->handle(slots_[i]->name() + "/transport"));
-      }
-    }
-    for (int s = 0; s < fabric_->switch_count(); ++s) {
-      fabric::FabricSwitch& sw = fabric_->switch_at(s);
-      sw.set_profiler(cell_profilers_[fabric_->cell_of_switch(s)]->handle(sw.name() + "/forward"));
-    }
+  // One profiler per cell (scope enter/exit and the self-time stack are
+  // single-threaded state); run_measure() folds them into profiler_.
+  if (cell_profilers_.empty()) {
     for (int c = 0; c < plan_.cells; ++c) {
-      cell_profilers_[c]->set_enabled(enable);
-      if (enable) {
-        cell_profilers_[c]->start_depth_timeline(engine_->cell(c), sim::Time::microseconds(50));
-      }
+      cell_profilers_.push_back(std::make_unique<obs::SimProfiler>());
     }
-    profiler_.set_enabled(enable);
-    return;
   }
-  for (auto& h : hosts_) h->set_profiler(&profiler_);
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    stacks_[i]->set_profiler(profiler_.handle(hosts_[i]->name() + "/transport"));
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    hosts_[i]->set_profiler(cell_profilers_[host_cell_[i]].get());
+    stacks_[i]->set_profiler(
+        cell_profilers_[host_cell_[i]]->handle(hosts_[i]->name() + "/transport"));
   }
-  for (auto& s : slots_) {
-    if (host::HostModel* hm = s->full_host()) {
-      hm->set_profiler(&profiler_);
-      s->stack()->set_profiler(profiler_.handle(s->name() + "/transport"));
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (host::HostModel* hm = slots_[i]->full_host()) {
+      hm->set_profiler(cell_profilers_[host_cell_[i]].get());
+      slots_[i]->stack()->set_profiler(
+          cell_profilers_[host_cell_[i]]->handle(slots_[i]->name() + "/transport"));
     }
   }
   for (int s = 0; s < fabric_->switch_count(); ++s) {
     fabric::FabricSwitch& sw = fabric_->switch_at(s);
-    sw.set_profiler(profiler_.handle(sw.name() + "/forward"));
+    sw.set_profiler(cell_profilers_[fabric_->cell_of_switch(s)]->handle(sw.name() + "/forward"));
+  }
+  for (int c = 0; c < plan_.cells; ++c) {
+    cell_profilers_[c]->set_enabled(enable);
+    if (enable) {
+      cell_profilers_[c]->start_depth_timeline(engine_->cell(c), sim::Time::microseconds(50));
+    }
   }
   profiler_.set_enabled(enable);
-  if (enable) profiler_.start_depth_timeline(sim_, sim::Time::microseconds(50));
 }
 
-void FabricScenario::run_for(sim::Time d) {
-  if (engine_) {
-    engine_->run_until(engine_->now() + d);
-  } else {
-    sim_.run_until(sim_.now() + d);
-  }
-}
+void FabricScenario::run_for(sim::Time d) { engine_->run_until(engine_->now() + d); }
 
 void FabricScenario::run_warmup() {
   run_for(cfg_.warmup);
@@ -992,13 +943,6 @@ void FabricScenario::run_warmup() {
 
 void FabricScenario::mark_measurement_start() {
   const sim::Time mark = now();
-  // Sharded parallel lossless runs deep-check only at quiesced boundaries;
-  // this one arms the deadlock candidate so a wedge spanning the whole
-  // measurement window confirms (persisted without progress) at the final
-  // boundary in run_measure().
-  if (cfg_.lossless && sharded() && plan_.parallel() && !fabric_checkers_.empty()) {
-    fabric_checkers_[0]->check_deep_now();
-  }
   const fabric::FabricSwitch::Totals t = fabric_->totals();
   base_fabric_drops_ = t.drops;
   base_fabric_marks_ = t.marks;
@@ -1021,7 +965,6 @@ void FabricScenario::mark_measurement_start() {
   // FCT percentiles cover the measurement window only (per-flow lifetime
   // records and open episodes survive the reset). RPC fan-in latency
   // follows the same window convention.
-  flow_stats_.reset_window();
   for (auto& f : cell_flow_stats_) f->reset_window();
   for (auto& rt : rpc_roots_) rt->reset_window();
 }
@@ -1030,10 +973,10 @@ FabricScenarioResults FabricScenario::run_measure() {
   run_for(cfg_.measure);
   const sim::Time end = now();
 
-  // Fold the sharded run's per-thread observability into the aggregate
-  // objects the accessors expose (no-ops when unsharded). Merge order is
-  // cell/controller index order — deterministic, and identical for every
-  // worker count because the partition is.
+  // Fold the per-thread observability into the aggregate objects the
+  // accessors expose. Merge order is cell/controller index order —
+  // deterministic, and identical for every worker count because the
+  // partition is.
   if (!cell_flow_stats_.empty()) {
     flow_stats_ = obs::FlowStats(cfg_.flow_stats);
     for (auto& f : cell_flow_stats_) flow_stats_.merge_from(*f);
@@ -1156,10 +1099,11 @@ FabricScenarioResults FabricScenario::run_measure() {
     }
   }
   for (auto& c : fabric_checkers_) c->check_now();
-  // Sharded parallel runs defer the whole-fabric deep sweeps (dangling
-  // XOFF + deadlock cycles) to quiesced boundaries; run them once here,
-  // where every cell's pause state is race-free to read.
-  if (cfg_.lossless && sharded() && plan_.parallel() && !fabric_checkers_.empty()) {
+  // Multi-cell runs make the whole-fabric deep sweeps (dangling XOFF +
+  // deadlock cycles) from the boundary tick; make one more here, where
+  // every cell's pause state is race-free to read (a 1-cell checker's
+  // check_now() above already did).
+  if (cfg_.lossless && plan_.parallel() && !fabric_checkers_.empty()) {
     fabric_checkers_[0]->check_deep_now();
   }
   for (auto& c : fabric_checkers_) r.invariant_violations += c->total_violations();

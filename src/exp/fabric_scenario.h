@@ -62,14 +62,12 @@ struct FabricScenarioConfig {
   // participate (the scaling knob behind `--hosts`).
   int hosts = 0;
 
-  // 0 = classic single-simulator run. N >= 1 partitions the fabric into
-  // per-switch cells (fabric::partition_topology) executed by a
-  // sim::ShardedSimulator on min(N, cells) worker threads under
-  // conservative lookahead. The partition is a pure function of the
-  // topology, so results — run JSON, telemetry CSV, traces — are
-  // byte-identical for every N >= 1 (the legacy N=0 path interleaves
-  // events differently and is only self-consistent).
-  int shards = 0;
+  // Worker threads (>= 1). The fabric is partitioned into per-switch cells
+  // (fabric::partition_topology) executed by a sim::ShardedSimulator on
+  // min(shards, cells) threads under conservative lookahead. The partition
+  // is a pure function of the topology, so results — run JSON, telemetry
+  // CSV, traces — are byte-identical for every value.
+  int shards = 1;
 
   host::HostConfig host;                 // per-host config (seeds differentiated)
   transport::TransportConfig transport;
@@ -212,17 +210,10 @@ class FabricScenario {
   FabricScenarioResults run_measure();
   void run_for(sim::Time d);
 
-  // Legacy (shards == 0) event loop. Sharded runs have one Simulator per
-  // cell; use now()/events_executed() for quantities that must hold in
-  // both modes.
-  sim::Simulator& simulator() { return engine_ ? engine_->cell(0) : sim_; }
-  // Current simulation time / total executed events, mode-independent.
-  sim::Time now() const { return engine_ ? engine_->now() : sim_.now(); }
-  std::uint64_t events_executed() const {
-    return engine_ ? engine_->events_executed() : sim_.events_executed();
-  }
-  // Sharded-run surface (null/default when cfg.shards == 0).
-  bool sharded() const { return engine_ != nullptr; }
+  // Current simulation time / executed events summed over every cell.
+  sim::Time now() const { return engine_->now(); }
+  std::uint64_t events_executed() const { return engine_->events_executed(); }
+  // The event engine: one Simulator per cell of shard_plan().
   sim::ShardedSimulator* engine() { return engine_.get(); }
   const fabric::ShardPlan& shard_plan() const { return plan_; }
   fabric::Fabric& fabric() { return *fabric_; }
@@ -245,20 +236,20 @@ class FabricScenario {
     return fabric_checkers_.empty() ? nullptr : fabric_checkers_.front().get();
   }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  // Per-flow FCT/slowdown accounting (cfg.record_flow_stats). Sharded
-  // runs keep one FlowStats per cell during execution (each touched only
-  // by its owning thread) and fold them into this aggregate inside
+  // Per-flow FCT/slowdown accounting (cfg.record_flow_stats). The run
+  // keeps one FlowStats per cell during execution (each touched only by
+  // its owning thread) and folds them into this aggregate inside
   // run_measure(); read it after run_measure() returns.
   const obs::FlowStats& flow_stats() const { return flow_stats_; }
   // Shared hostCC decision record across every controller; the `host`
   // column disambiguates (cfg.record_decisions, hostcc runs only).
-  // Sharded runs log per controller and merge (time-ordered, controller
-  // order on ties) inside run_measure().
+  // Controllers log privately and run_measure() merges the logs
+  // (time-ordered, controller order on ties).
   const obs::DecisionLog& decisions() const { return decisions_; }
   // Sampled per-switch/per-port occupancy time-series (cfg.telemetry).
   obs::FabricTelemetry& telemetry() { return telemetry_; }
-  // Merged fabric-wide pause ledger (cfg.lossless). Sharded runs keep one
-  // ledger per cell and fold them here inside run_measure().
+  // Merged fabric-wide pause ledger (cfg.lossless). The run keeps one
+  // ledger per cell and folds them here inside run_measure().
   const fabric::PauseLedger& pause_ledger() const { return pause_ledger_; }
   // Simulator self-profiler. Detached until attach_profiler() (or
   // cfg.profile) wires its handles into hosts, switches, and stacks.
@@ -276,21 +267,19 @@ class FabricScenario {
   void build_workload(int n_hosts, double bisection_bytes_per_sec);
   void workload_accept(transport::Stack& st, const net::Packet& p);
   void mark_measurement_start();
-  // The simulator a cell's components schedule on: the engine's per-cell
-  // loop when sharded, the single legacy loop otherwise.
-  sim::Simulator& cell_sim(int cell) { return engine_ ? engine_->cell(cell) : sim_; }
+  // The simulator a cell's components schedule on.
+  sim::Simulator& cell_sim(int cell) { return engine_->cell(cell); }
 
   FabricScenarioConfig cfg_;
-  sim::Simulator sim_;
 
-  // Sharded execution (cfg.shards >= 1): the topology partition, the
-  // per-cell event loops, and the cross-cell packet channels. The epoch
-  // hook glues them: at each cell's first entry into an epoch,
-  // ShardChannels::begin_epoch schedules that epoch's cross-cell arrivals.
+  // Execution: the topology partition, the per-cell event loops, and the
+  // cross-cell packet channels. The epoch hook glues them: at each cell's
+  // first entry into an epoch, ShardChannels::begin_epoch schedules that
+  // epoch's cross-cell arrivals.
   fabric::ShardPlan plan_;
   std::unique_ptr<sim::ShardedSimulator> engine_;
   std::unique_ptr<sim::ShardChannels<net::Packet>> channels_;
-  std::vector<int> host_cell_;  // HostId -> owning cell (all 0 unsharded)
+  std::vector<int> host_cell_;  // HostId -> owning cell
 
   std::unique_ptr<fabric::Fabric> fabric_;
   std::vector<std::unique_ptr<host::HostModel>> hosts_;
@@ -317,13 +306,12 @@ class FabricScenario {
   std::vector<int> controller_host_;  // parallel: which host each controls
   std::unique_ptr<core::SignalSampler> passive_sampler_;  // host 0, hostCC off
   std::vector<std::unique_ptr<faults::InvariantChecker>> host_checkers_;
-  // One fabric checker / injector per cell when sharded (each on its
-  // cell's simulator, scoped to the switches/uplinks that cell owns);
-  // exactly one of each, unscoped, otherwise.
+  // One fabric checker / injector per cell, each on its cell's simulator
+  // and scoped to the switches/uplinks that cell owns.
   std::vector<std::unique_ptr<faults::FabricInvariantChecker>> fabric_checkers_;
   std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
-  // Lossless mode: one pause ledger per cell (a single one unsharded),
-  // merged into pause_ledger_ by run_measure().
+  // Lossless mode: one pause ledger per cell, merged into pause_ledger_
+  // by run_measure().
   std::vector<std::unique_ptr<fabric::PauseLedger>> cell_ledgers_;
   fabric::PauseLedger pause_ledger_;
   std::vector<int> destinations_;  // flow-destination host ids, ascending
@@ -333,8 +321,8 @@ class FabricScenario {
   obs::DecisionLog decisions_;
   obs::FabricTelemetry telemetry_;
   obs::SimProfiler profiler_;
-  // Per-thread observability staging for sharded runs, folded into the
-  // aggregates above by run_measure().
+  // Per-thread observability staging, folded into the aggregates above by
+  // run_measure().
   std::vector<std::unique_ptr<obs::FlowStats>> cell_flow_stats_;      // per cell
   std::vector<std::unique_ptr<obs::DecisionLog>> ctl_decisions_;      // per controller
   std::vector<std::unique_ptr<obs::SimProfiler>> cell_profilers_;     // per cell

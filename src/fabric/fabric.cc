@@ -177,7 +177,7 @@ net::Link& Fabric::attach_host(net::HostId id, const std::string& host_name, Del
   at.edge_delay = up->delay;
   // Hosts live on their leaf's cell: the uplink Link (and the per-packet
   // delivery relay below) schedule on the leaf's simulator, which is sim_
-  // itself on a classic build.
+  // itself on a single-simulator build.
   sim::Simulator& hsim = *sim_of_switch_[sw];
   at.uplink = std::make_unique<net::Link>(hsim, up->link, up->rate, up->delay);
   FabricSwitch* ingress_sw = switches_[sw].get();

@@ -56,7 +56,9 @@ namespace hostcc::fabric {
 // When `plan` is set and has > 1 cell, each switch is built on its cell's
 // simulator (via `cell_sim`) and every cross-cell switch-switch arc sends
 // through a channel obtained from `make_channel` instead of a direct port
-// sink. All fields empty = classic single-simulator fabric.
+// sink. A 1-cell plan, or no plan at all, builds every switch on the
+// constructor's simulator: exp::FabricScenario passes its 1-cell plan for
+// star topologies, and the unit testbeds use the hook-free constructor.
 struct FabricShardHooks {
   const ShardPlan* plan = nullptr;
   // Returns the simulator that owns `cell`.
@@ -75,7 +77,7 @@ class Fabric {
   using DeliverFn = std::function<void(const net::PacketRef&)>;
 
   // Validates `topo` (throws std::invalid_argument, aggregated) and builds
-  // every switch and switch-switch port.
+  // every switch and switch-switch port on `sim` (unit testbeds).
   Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg,
          bool coalesced_drains = true);
 
@@ -159,7 +161,7 @@ class Fabric {
   const Topology& topology() const { return topo_; }
   std::vector<net::HostId> attached_hosts() const;  // sorted
 
-  // --- shard placement (all zeros / &sim on a classic build) ---
+  // --- shard placement (all zeros / &sim on a single-simulator build) ---
   int cell_of_switch(int i) const { return cell_of_switch_.at(i); }
   int host_cell(net::HostId id) const { return cell_of_switch_.at(hosts_.at(id).switch_idx); }
   sim::Simulator& switch_sim(int i) { return *sim_of_switch_.at(i); }

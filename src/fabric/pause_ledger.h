@@ -8,12 +8,18 @@
 //
 // Sharded runs keep one ledger per cell (applies always happen on the
 // paused component's owning thread) and fold them with merge_from() at the
-// quiesced measurement boundary, mirroring obs::FlowStats.
+// quiesced measurement boundary, mirroring obs::FlowStats. Each ledger
+// logs its timestamped +1/-1 transitions so the merge can replay them in
+// (time, cell) order and recover the true fabric-wide concurrent peak and
+// last all-clear instant, not a sum of per-cell peaks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -38,14 +44,12 @@ class PauseLedger {
     if (on) {
       ++e.xoffs;
       ++xoff_total_;
-      ++outstanding_;
-      if (outstanding_ > max_outstanding_) max_outstanding_ = outstanding_;
     } else {
       ++e.xons;
       ++xon_total_;
-      --outstanding_;
-      if (outstanding_ == 0) last_all_clear_ = now;
     }
+    transitions_.push_back({now, on ? 1 : -1});
+    apply(transitions_.back());
   }
   void record_muted_xon() { ++muted_xons_; }
 
@@ -60,11 +64,13 @@ class PauseLedger {
   sim::Time last_all_clear() const { return last_all_clear_; }
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
-  // Folds a per-cell ledger into this aggregate. Counts and outstanding
-  // sum (per-cell key sets are disjoint: each edge's pauses apply on one
-  // owning cell); max_outstanding sums too, an upper bound on the true
-  // global peak; last_all_clear takes the max. All deterministic because
-  // the partition, and hence the per-cell ledgers, are.
+  // Folds a per-cell ledger into this aggregate. Counts sum (per-cell key
+  // sets are disjoint: each edge's pauses apply on one owning cell). The
+  // transition logs merge stably by time, this ledger's entries first on
+  // ties, and are replayed to recompute outstanding, max_outstanding and
+  // last_all_clear. Folding the cells in index order therefore replays in
+  // (time, cell) order — a pure function of the partition, the same for
+  // every worker count.
   void merge_from(const PauseLedger& other) {
     for (const auto& [key, e] : other.entries_) {
       Entry& mine = entries_[key];
@@ -76,12 +82,31 @@ class PauseLedger {
     xoff_total_ += other.xoff_total_;
     xon_total_ += other.xon_total_;
     muted_xons_ += other.muted_xons_;
-    outstanding_ += other.outstanding_;
-    max_outstanding_ += other.max_outstanding_;
-    if (other.last_all_clear_ > last_all_clear_) last_all_clear_ = other.last_all_clear_;
+    std::vector<Transition> merged;
+    merged.reserve(transitions_.size() + other.transitions_.size());
+    std::merge(transitions_.begin(), transitions_.end(), other.transitions_.begin(),
+               other.transitions_.end(), std::back_inserter(merged),
+               [](const Transition& a, const Transition& b) { return a.at < b.at; });
+    transitions_ = std::move(merged);
+    outstanding_ = 0;
+    max_outstanding_ = 0;
+    last_all_clear_ = sim::Time();
+    for (const Transition& t : transitions_) apply(t);
   }
 
  private:
+  struct Transition {
+    sim::Time at;
+    int delta = 0;  // +1 applied XOFF, -1 applied XON
+  };
+
+  void apply(const Transition& t) {
+    outstanding_ += t.delta;
+    if (outstanding_ > max_outstanding_) max_outstanding_ = outstanding_;
+    if (t.delta < 0 && outstanding_ == 0) last_all_clear_ = t.at;
+  }
+
+  std::vector<Transition> transitions_;  // in record order (time-sorted)
   std::map<std::string, Entry> entries_;
   std::uint64_t xoff_total_ = 0;
   std::uint64_t xon_total_ = 0;

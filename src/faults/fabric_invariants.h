@@ -39,9 +39,10 @@
 //     The longest dependency chain is the congestion-tree depth (peak
 //     exported for fig22).
 //
-// The dangling/deadlock sweeps read the whole fabric, so sharded runs must
+// The dangling/deadlock sweeps read the whole fabric, so multi-cell runs
 // disable them on the periodic cadence (deep_periodic=false) and invoke
-// check_deep_now() only at quiesced epoch boundaries.
+// check_deep_now() from the engine's boundary tick
+// (sim::ShardedSimulator::set_boundary_tick), at quiesced epoch ends.
 //
 // Read-only by default: enabling the checker perturbs no random stream and
 // no behaviour (same contract as the host InvariantChecker). The one
@@ -60,7 +61,6 @@
 
 #include "fabric/fabric.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace hostcc::faults {
@@ -95,8 +95,8 @@ struct FabricInvariantConfig {
   sim::Time period = sim::Time::microseconds(25);
   std::size_t max_recorded = 64;  // counting continues past the cap
   // Run the whole-fabric deep sweeps (dangling XOFF + deadlock cycle) on
-  // the periodic cadence. Sharded per-cell checkers must set this false
-  // and call check_deep_now() at quiesced boundaries instead.
+  // the periodic cadence. Multi-cell runs set this false and call
+  // check_deep_now() at quiesced epoch boundaries instead.
   bool deep_periodic = true;
   // Opt-in graceful degradation: force-XON detected deadlock cycles so the
   // run completes (counted in storm_breaks()).
@@ -356,19 +356,6 @@ class FabricInvariantChecker {
              " further violations not recorded)\n";
     }
     return out;
-  }
-
-  void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-    reg.counter_fn(prefix + "/checks", [this] { return checks_; });
-    reg.counter_fn(prefix + "/violations", [this] { return total_violations_; });
-    for (int i = 0; i < kFabricInvariantClasses; ++i) {
-      reg.counter_fn(
-          prefix + "/" + fabric_invariant_class_name(static_cast<FabricInvariantClass>(i)),
-          [this, i] { return by_class_[i]; });
-    }
-    reg.gauge(prefix + "/pause_tree_depth_peak",
-              [this] { return static_cast<double>(tree_depth_peak_); });
-    reg.counter_fn(prefix + "/storm_breaks", [this] { return storm_breaks_; });
   }
 
  private:

@@ -28,12 +28,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "sim/ring_queue.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -99,8 +99,9 @@ class ShardChannels {
 
     // Promote everything due inside this window to the delivery FIFO, one
     // event each. The tiny [this, cell] capture stays inside the event
-    // queue's inline-callback budget; the payload rides the deque.
-    std::deque<Msg>& window = window_[cell];
+    // queue's inline-callback budget; the payload rides the ring, which
+    // stops allocating once it has grown to the cell's peak window.
+    RingQueue<Msg>& window = window_[cell];
     while (!heap.empty() && heap.front().due < window_end) {
       std::pop_heap(heap.begin(), heap.end(), Later{});
       window.push_back(std::move(heap.back()));
@@ -158,7 +159,7 @@ class ShardChannels {
   std::vector<std::vector<Channel*>> inbound_;   // per consumer cell
   std::vector<std::vector<Channel*>> outbound_;  // per producer cell
   std::vector<std::vector<Msg>> ready_;          // per-cell arrival min-heap
-  std::vector<std::deque<Msg>> window_;          // per-cell delivery FIFO
+  std::vector<RingQueue<Msg>> window_;           // per-cell delivery FIFO
   std::vector<std::uint64_t> scheduled_;         // per-cell delivery events
 };
 

@@ -84,6 +84,12 @@ void ShardedSimulator::step_cell(int c, std::int64_t epoch, Time seg_end, Time w
   wall_ns_[c] += elapsed_ns(t0);
 }
 
+void ShardedSimulator::run_tick(Time epoch_end) {
+  tick_();
+  next_tick_ =
+      Time::picoseconds((epoch_end.ps() / tick_period_.ps() + 1) * tick_period_.ps());
+}
+
 void ShardedSimulator::run_until(Time deadline) {
   if (deadline <= now_) return;
   if (cells_.size() == 1 || lookahead_ <= Time::zero()) {
@@ -110,6 +116,7 @@ void ShardedSimulator::run_epochs_serial(Time deadline) {
     const Time seg_end = std::min(deadline, window_end);
     if (cell_epoch_[0] != k) ++epochs_entered_;
     for (int c = 0; c < cell_count(); ++c) step_cell(c, k, seg_end, window_end);
+    if (tick_due(seg_end, window_end)) run_tick(window_end);
     pos = seg_end;
   }
 }
@@ -124,7 +131,10 @@ void ShardedSimulator::run_epochs_parallel(Time deadline) {
   // lockstep with its peers: all of epoch k's cell segments complete (and
   // their cross-cell buffers are fully published) before any cell enters
   // epoch k+1. The barrier is the happens-before edge the channel buffers
-  // rely on.
+  // rely on. When the boundary tick is due, worker 0 runs it between that
+  // barrier and a second one, while every other worker waits; every worker
+  // reads tick_due() before the first barrier, so next_tick_ is only ever
+  // written while no other thread reads it.
   auto worker = [&](int w) {
     try {
       Time pos = now_;
@@ -132,10 +142,16 @@ void ShardedSimulator::run_epochs_parallel(Time deadline) {
         const std::int64_t k = pos.ps() / lookahead_.ps();
         const Time window_end = Time::picoseconds((k + 1) * lookahead_.ps());
         const Time seg_end = std::min(deadline, window_end);
+        const bool tick = tick_due(seg_end, window_end);
         if (w == 0 && cell_epoch_[0] != k) ++epochs_entered_;
         for (int c = w; c < cell_count(); c += W) step_cell(c, k, seg_end, window_end);
         barrier.arrive_and_wait();
         if (failed.load(std::memory_order_acquire)) return;
+        if (tick) {
+          if (w == 0) run_tick(window_end);
+          barrier.arrive_and_wait();
+          if (failed.load(std::memory_order_acquire)) return;
+        }
         pos = seg_end;
       }
     } catch (...) {

@@ -20,8 +20,16 @@
 // captured and the lowest-worker-index one rethrown after all threads
 // joined.
 //
+// The boundary tick (set_boundary_tick) runs single-threaded at a quiesced
+// epoch boundary: after every cell has finished epoch k and before any
+// cell enters epoch k+1, so it may read and write any cell's state. It
+// fires at the first epoch end at or after each multiple of its period,
+// and only at real epoch ends — never at a mid-epoch run_until() stop —
+// so its cadence does not depend on how the run is sliced. The parallel
+// loop pays the extra barrier only on epochs where the tick is due.
+//
 // Degenerate runs (1 cell, or zero lookahead) bypass the epoch machinery
-// entirely: one run_until on cell 0, no hook calls.
+// entirely: one run_until on cell 0, no hook or tick calls.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +45,7 @@ namespace hostcc::sim {
 class ShardedSimulator {
  public:
   using EpochHook = std::function<void(int cell, std::int64_t epoch, Time window_end)>;
+  using BoundaryTick = std::function<void()>;
 
   // `workers` <= 0 selects std::thread::hardware_concurrency(); the count
   // is clamped to the cell count either way.
@@ -53,6 +62,12 @@ class ShardedSimulator {
   Time lookahead() const { return lookahead_; }
 
   void set_epoch_hook(EpochHook hook) { hook_ = std::move(hook); }
+  // See the file comment. `period` must be positive.
+  void set_boundary_tick(Time period, BoundaryTick tick) {
+    tick_period_ = period;
+    next_tick_ = period;
+    tick_ = std::move(tick);
+  }
 
   // Advances every cell to `deadline` (global position; all cells end at
   // the same sim time).
@@ -73,11 +88,20 @@ class ShardedSimulator {
   void step_cell(int c, std::int64_t epoch, Time seg_end, Time window_end);
   void run_epochs_serial(Time deadline);
   void run_epochs_parallel(Time deadline);
+  // True when the epoch ending at `window_end` completes inside this
+  // segment and the boundary tick is due there.
+  bool tick_due(Time seg_end, Time window_end) const {
+    return tick_ && seg_end == window_end && window_end >= next_tick_;
+  }
+  void run_tick(Time epoch_end);
 
   std::vector<std::unique_ptr<Simulator>> cells_;
   Time lookahead_;
   int workers_;
   EpochHook hook_;
+  BoundaryTick tick_;
+  Time tick_period_ = Time::zero();
+  Time next_tick_ = Time::zero();
 
   Time now_ = Time::zero();
   std::vector<std::int64_t> cell_epoch_;  // last epoch each cell entered

@@ -30,7 +30,8 @@ TEST(BenchCliTest, ParsesSharedFlagsInBothForms) {
   EXPECT_EQ(b.shards, 8);
   const BenchOpts c = parse({});
   EXPECT_EQ(c.jobs, 1);
-  EXPECT_EQ(c.shards, 0);
+  EXPECT_EQ(c.shards, 1);
+  EXPECT_THROW(parse({"--shards", "0"}), std::invalid_argument);
 }
 
 TEST(BenchCliTest, ExtraFlagsAreAcceptedWithAndWithoutValues) {

@@ -2,7 +2,7 @@
 //  - repeated fixed-seed runs produce byte-identical trace JSON, metrics
 //    JSON, and results (the (time, sequence) FIFO contract end-to-end);
 //  - SweepRunner output is invariant to --jobs (parallel == serial);
-//  - sharded fabric runs are invariant to --shards: every N >= 1 produces
+//  - fabric runs are invariant to --shards: every N >= 1 produces
 //    exactly the bytes N = 1 does (results, telemetry CSV, Chrome trace,
 //    flow CSV, decisions CSV), fault plans included. The suite runs in
 //    both HOSTCC_DRAIN_MODEs in CI, so the contract is checked per mode.
@@ -187,7 +187,6 @@ TEST(DeterminismTest, ShardedRunsInvariantToShardCount) {
 // against a silent fallback to one cell making the test vacuous).
 TEST(DeterminismTest, ShardedRunPartitionsPerSwitch) {
   exp::FabricScenario s(sharded_config(2));
-  ASSERT_TRUE(s.sharded());
   EXPECT_EQ(s.shard_plan().cells, 6);
   EXPECT_TRUE(s.shard_plan().parallel());
   EXPECT_EQ(s.engine()->workers(), 2);

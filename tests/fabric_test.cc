@@ -253,6 +253,7 @@ TEST(FabricScenarioValidationTest, AggregatesEveryProblem) {
   cfg.topology = "leaf-spine:0x4";        // bad dims
   cfg.flows_per_pair = 0;                 // must be >= 1
   cfg.mapp_degree = -1.0;                 // must be >= 0
+  cfg.shards = 0;                         // must be >= 1 worker thread
   try {
     exp::FabricScenario s(cfg);
     FAIL() << "expected std::invalid_argument";
@@ -261,8 +262,9 @@ TEST(FabricScenarioValidationTest, AggregatesEveryProblem) {
     EXPECT_NE(msg.find("invalid fabric scenario config"), std::string::npos) << msg;
     EXPECT_NE(msg.find("flows_per_pair"), std::string::npos) << msg;
     EXPECT_NE(msg.find("mapp_degree"), std::string::npos) << msg;
-    // Aggregation: all three problems in one throw.
-    EXPECT_GE(std::count(msg.begin(), msg.end(), '\n'), 2) << msg;
+    EXPECT_NE(msg.find("fabric_scenario.shards must be >= 1"), std::string::npos) << msg;
+    // Aggregation: every problem in one throw.
+    EXPECT_GE(std::count(msg.begin(), msg.end(), '\n'), 3) << msg;
   }
 }
 
@@ -312,9 +314,9 @@ FabricArtifacts run_fabric_once(exp::FabricScenarioConfig cfg) {
   exp::FabricScenario s(std::move(cfg));
   FabricArtifacts a;
   a.results = serialize(s.run());
-  a.events = s.simulator().events_executed();
+  a.events = s.events_executed();
   std::ostringstream m;
-  s.metrics().write_json(m, s.simulator().now());
+  s.metrics().write_json(m, s.now());
   a.metrics = m.str();
   return a;
 }

@@ -3,8 +3,9 @@
 // hooks), the DCQCN window machine, pause-fault spec parsing, the
 // dangling-XOFF and confirmed-deadlock invariants (with the storm
 // breaker), and rack-scale lossless scenario properties: a deep incast
-// completes with zero switch drops and a balanced pause ledger, and
-// sharded lossless runs are invariant to the shard count.
+// completes with zero switch drops and a balanced pause ledger, per-cell
+// pause ledgers merge to the true concurrent peak, and lossless runs —
+// storms included — are invariant to the shard count and to run slicing.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -363,6 +364,35 @@ TEST(PauseInvariantTest, MutedXonBecomesDanglingXoff) {
   EXPECT_EQ(chk.violations_of(faults::FabricInvariantClass::kPauseLedger), 1u);
 }
 
+// --- pause ledger merge ---
+
+// Per-cell ledgers fold into the fabric-wide one by replaying their
+// transitions in time order: two pauses that never overlap are a peak of
+// one concurrently paused pair, not the sum of the per-cell peaks.
+TEST(PauseLedgerTest, MergedPeakCountsOnlyConcurrentPauses) {
+  fabric::PauseLedger a, b;
+  a.record("leaf0/p0", true, sim::Time::microseconds(1));
+  a.record("leaf0/p0", false, sim::Time::microseconds(2));
+  b.record("spine0/p0", true, sim::Time::microseconds(3));
+  b.record("spine0/p0", false, sim::Time::microseconds(4));
+  fabric::PauseLedger merged;
+  merged.merge_from(a);
+  merged.merge_from(b);
+  EXPECT_EQ(merged.max_outstanding(), 1);
+  EXPECT_EQ(merged.outstanding(), 0);
+  EXPECT_EQ(merged.xoff_total(), 2u);
+  EXPECT_EQ(merged.last_all_clear(), sim::Time::microseconds(4));
+
+  // Overlapping pauses in different cells do stack, and the fabric is not
+  // all-clear while either is still outstanding.
+  fabric::PauseLedger c;
+  c.record("spine1/p0", true, sim::Time::microseconds(1) + sim::Time::nanoseconds(500));
+  c.record("spine1/p0", false, sim::Time::microseconds(5));
+  merged.merge_from(c);
+  EXPECT_EQ(merged.max_outstanding(), 2);
+  EXPECT_EQ(merged.last_all_clear(), sim::Time::microseconds(5));
+}
+
 // --- rack-scale lossless scenario properties ---
 
 TEST(LosslessScenarioTest, DeepIncastCompletesWithZeroDropsAndBalancedLedger) {
@@ -420,27 +450,72 @@ TEST(LosslessScenarioTest, ShardedRunsInvariantToShardCount) {
   EXPECT_NE(one.find(','), std::string::npos);
 }
 
-TEST(LosslessScenarioTest, SeededStormAndMuteAreDetectedAndSurvived) {
-  exp::FabricScenarioConfig cfg;
-  cfg.topology = "leaf-spine:2x2";
-  cfg.lossless = true;
-  cfg.storm_breaker = true;
-  cfg.fabric.buffer_bytes = 256 * sim::kKiB;
-  cfg.mapp_degree = 2.0;
-  cfg.warmup = sim::Time::milliseconds(1);
-  cfg.measure = sim::Time::milliseconds(2);
-  ASSERT_FALSE(cfg.faults.add_spec("pause_storm@1500+400:0:leaf0-spine0").has_value());
-  ASSERT_FALSE(cfg.faults.add_spec("pfc_mute@1500+400:h1-leaf0").has_value());
-  exp::FabricScenario s(cfg);
-  const exp::FabricScenarioResults r = s.run();
+// Advances `s` through `phase` in `n` equal run_for() slices.
+void run_in_slices(exp::FabricScenario& s, sim::Time phase, int n) {
+  const sim::Time start = s.now();
+  for (int k = 1; k <= n; ++k) {
+    s.run_for(start + sim::Time::picoseconds(phase.ps() * k / n) - s.now());
+  }
+}
 
-  // Detected: the forced mutual pause persists without progress and the
-  // muted XON leaves a dangling XOFF. Survived: the breaker releases the
-  // cycle, the run completes, and losslessness itself still holds.
-  EXPECT_GT(r.invariant_violations, 0u);
-  EXPECT_GT(r.storm_breaks, 0u);
-  EXPECT_EQ(r.fabric_drops, 0u);
-  EXPECT_GT(r.delivered_pkts, 0u);
+// The deadlock and dangling-XOFF sweeps run mid-run from the engine's
+// boundary tick, so the storm is detected and broken at every worker count,
+// with the same bytes, and whether the run is one run() or 40 run_for()
+// slices that stop mid-epoch. The compared bytes include the fabric
+// checker's report, whose violation timestamps pin when each sweep ran.
+TEST(LosslessScenarioTest, SeededStormAndMuteAreDetectedAndSurvived) {
+  const auto storm_cfg = [](int shards) {
+    exp::FabricScenarioConfig cfg;
+    cfg.topology = "leaf-spine:2x2";
+    cfg.lossless = true;
+    cfg.storm_breaker = true;
+    cfg.fabric.buffer_bytes = 256 * sim::kKiB;
+    cfg.mapp_degree = 2.0;
+    cfg.shards = shards;
+    cfg.warmup = sim::Time::milliseconds(1);
+    cfg.measure = sim::Time::milliseconds(2);
+    EXPECT_FALSE(cfg.faults.add_spec("pause_storm@1500+400:0:leaf0-spine0").has_value());
+    EXPECT_FALSE(cfg.faults.add_spec("pfc_mute@1500+400:h1-leaf0").has_value());
+    return cfg;
+  };
+  std::string at_one;
+  for (const int shards : {1, 2, 4}) {
+    exp::FabricScenario s(storm_cfg(shards));
+    const exp::FabricScenarioResults r = s.run();
+
+    // Detected: the forced mutual pause persists without progress and the
+    // muted XON leaves a dangling XOFF. Survived: the breaker releases the
+    // cycle, the run completes, and losslessness itself still holds.
+    EXPECT_GT(r.invariant_violations, 0u) << "shards " << shards;
+    EXPECT_GT(r.storm_breaks, 0u) << "shards " << shards;
+    EXPECT_EQ(r.fabric_drops, 0u) << "shards " << shards;
+    EXPECT_GT(r.delivered_pkts, 0u) << "shards " << shards;
+    const std::string bytes = serialize_lossless(r) + "\n" + s.fabric_invariants()->report();
+    if (shards == 1) {
+      at_one = bytes;
+    } else {
+      EXPECT_EQ(bytes, at_one) << "shards " << shards;
+    }
+  }
+
+  // The same run in slices: 40 split the way perfbench splits them (13
+  // warmup + 27 measure), and ~7 us ones, which stop mid-epoch past most
+  // check periods. The scenario is built with empty windows and advanced
+  // with run_for(); run_warmup() then only marks the window start.
+  for (const auto& [warmup_slices, measure_slices] : {std::pair{13, 27}, std::pair{143, 285}}) {
+    exp::FabricScenarioConfig cfg = storm_cfg(4);
+    const sim::Time warmup = cfg.warmup;
+    const sim::Time measure = cfg.measure;
+    cfg.warmup = sim::Time::zero();
+    cfg.measure = sim::Time::zero();
+    exp::FabricScenario s(std::move(cfg));
+    run_in_slices(s, warmup, warmup_slices);
+    s.run_warmup();
+    run_in_slices(s, measure, measure_slices);
+    const std::string sliced = serialize_lossless(s.run_measure());
+    EXPECT_EQ(sliced + "\n" + s.fabric_invariants()->report(), at_one)
+        << warmup_slices + measure_slices << " run_for slices";
+  }
 }
 
 // --- ShardChannels edge cases (satellite) ---

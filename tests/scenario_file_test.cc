@@ -111,6 +111,7 @@ TEST(ScenarioFileTest, SemanticProblemsAggregateInTheScenarioBuild) {
   FabricScenarioConfig cfg = parse_scenario_text(
       "[fabric]\n"
       "topology = leaf-spine:2x2\n"
+      "shards = 0\n"
       "[workload]\n"
       "load = 5.0\n"
       "slots_per_pair = 0\n"
@@ -121,6 +122,7 @@ TEST(ScenarioFileTest, SemanticProblemsAggregateInTheScenarioBuild) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
+    EXPECT_NE(msg.find("fabric_scenario.shards must be >= 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("workload.load"), std::string::npos) << msg;
     EXPECT_NE(msg.find("workload.slots_per_pair"), std::string::npos) << msg;
     EXPECT_NE(msg.find("workload.reuse_cooldown_us"), std::string::npos) << msg;

@@ -55,8 +55,8 @@ RATIO_GATES = [
     # Packet tracer attached-but-disabled vs no tracer: <= 2% overhead.
     ("BM_HostDatapathTracer/1", "BM_HostDatapathTracer/0", 0.98),
     # Hybrid fidelity at 64 hosts vs all-full at 64 hosts: the flow-level
-    # tier must deliver >= 3x the packet throughput (measured ~15x; the
-    # floor leaves headroom for noisy CI machines).
+    # tier must deliver >= 3x the packet throughput (measured 4.3x, both
+    # on the sharded engine at one worker).
     ("BM_HybridFidelityScaling/64/1", "BM_HybridFidelityScaling/64/0", 3.0),
     # An idle host's memory-controller quantum vs a loaded 4-source one:
     # idle quanta skip the poll and the water-fill, and their EWMA decays

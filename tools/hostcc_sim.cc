@@ -84,9 +84,8 @@ namespace {
                "                      --fidelity/--warmup/--measure override the\n"
                "                      file; other fabric flags are ignored\n"
                "  --hosts N           participating hosts (0 = all in topology)\n"
-               "  --shards N          fabric mode: sharded parallel run on N\n"
-               "                      worker threads (0 = classic single loop;\n"
-               "                      output byte-identical for every N >= 1)\n"
+               "  --shards N          fabric mode: worker threads, >= 1 [1]\n"
+               "                      (output byte-identical for every N)\n"
                "  --pattern NAME      incast | all-to-all                [incast]\n"
                "  --flows-per-pair N  long flows per (sender, dest) pair [2]\n"
                "  --fabric-buffer N   switch shared-buffer size in KiB  [2048]\n"
@@ -230,17 +229,15 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
       std::printf("    \"promotions\": %llu,\n", static_cast<unsigned long long>(r.promotions));
       std::printf("    \"demotions\": %llu,\n", static_cast<unsigned long long>(r.demotions));
     }
-    if (fs.sharded()) {
-      // Worker count and wall clocks vary run to run / machine to machine;
-      // tools/run_diff.py skips these fields when diffing against an
-      // unsharded run. cells/lookahead are deterministic topology facts.
-      std::printf("    \"shards\": %d,\n", fs.engine()->workers());
-      std::printf("    \"cells\": %d,\n", fs.engine()->cell_count());
-      std::printf("    \"lookahead_us\": %.3f,\n", fs.engine()->lookahead().us());
-      std::printf("    \"epochs\": %llu,\n",
-                  static_cast<unsigned long long>(fs.engine()->epochs_entered()));
-      std::printf("    \"shard_wall_ms\": %.1f,\n", fs.engine()->max_cell_wall_ms());
-    }
+    // Worker count and wall clocks vary run to run / machine to machine;
+    // tools/run_diff.py skips these fields. cells/lookahead are
+    // deterministic topology facts.
+    std::printf("    \"shards\": %d,\n", fs.engine()->workers());
+    std::printf("    \"cells\": %d,\n", fs.engine()->cell_count());
+    std::printf("    \"lookahead_us\": %.3f,\n", fs.engine()->lookahead().us());
+    std::printf("    \"epochs\": %llu,\n",
+                static_cast<unsigned long long>(fs.engine()->epochs_entered()));
+    std::printf("    \"shard_wall_ms\": %.1f,\n", fs.engine()->max_cell_wall_ms());
     std::printf("    \"no_route_drops\": %llu,\n",
                 static_cast<unsigned long long>(r.fabric_no_route_drops));
     std::printf("    \"wall_ms\": %.1f,\n", wall_ms);
@@ -388,7 +385,7 @@ int run_cli(int argc, char** argv) {
   std::string scenario_path;
   bool shards_set = false, seed_set = false, fidelity_set = false;
   int fabric_hosts = 0;
-  int fabric_shards = 0;
+  int fabric_shards = 1;
   int flows_per_pair = 2;
   int fabric_buffer_kib = 0;  // 0 = FabricSwitchConfig default
   bool lossless = false;
