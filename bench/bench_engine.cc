@@ -407,14 +407,11 @@ void BM_HybridFidelityScaling(benchmark::State& state) {
   exp::FabricScenario s(std::move(cfg));
   s.run_warmup();
   s.run_for(sim::Time::milliseconds(5));  // settle past slow start's tail
-  const auto arrived = [&s] {
-    return s.hybrid() ? s.slot(0).arrived_pkts() : s.host(0).nic().stats().arrived_pkts;
-  };
   std::uint64_t pkts = 0;
   for (auto _ : state) {
-    const std::uint64_t before = arrived();
+    const std::uint64_t before = s.slot(0).arrived_pkts();
     s.run_for(sim::Time::milliseconds(1));
-    pkts += arrived() - before;
+    pkts += s.slot(0).arrived_pkts() - before;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(pkts));
 }

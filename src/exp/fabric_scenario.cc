@@ -58,15 +58,9 @@ std::vector<std::string> validate(const FabricScenarioConfig& cfg,
   if (cfg.storm_breaker && !cfg.lossless && !cfg.fabric.pfc_enabled) {
     errs.push_back("fabric_scenario.storm_breaker requires lossless mode (--lossless)");
   }
-  if (cfg.messages_per_flow > 0) {
-    if (cfg.fidelity == HostFidelity::kFull) {
-      errs.push_back("fabric_scenario.messages_per_flow is a hybrid-fidelity knob "
-                     "(--fidelity analytic|auto)");
-    }
-    if (cfg.flow_bytes <= 0) {
-      errs.push_back("fabric_scenario.messages_per_flow requires flow_bytes > 0 "
-                     "(closed-loop messages)");
-    }
+  if (cfg.messages_per_flow > 0 && cfg.flow_bytes <= 0) {
+    errs.push_back("fabric_scenario.messages_per_flow requires flow_bytes > 0 "
+                   "(closed-loop messages)");
   }
   if (cfg.promote_threshold <= 0) {
     errs.push_back("fabric_scenario.promote_threshold must be > 0 bytes");
@@ -189,6 +183,25 @@ core::HostCcController* FabricScenario::controller(int i) {
   return i < static_cast<int>(controllers_.size()) ? controllers_[i].get() : nullptr;
 }
 
+host::HostModel& FabricScenario::host(int i) {
+  host::HostModel* h = slots_.at(i)->full_host();
+  if (!h) throw std::out_of_range("FabricScenario::host: host has no packet-level kit");
+  return *h;
+}
+
+transport::Stack& FabricScenario::stack(int i) {
+  transport::Stack* st = slots_.at(i)->stack();
+  if (!st) throw std::out_of_range("FabricScenario::stack: host has no packet-level kit");
+  return *st;
+}
+
+std::string FabricScenario::fabric_invariants_report() const {
+  if (fabric_checkers_.empty()) return "";
+  std::vector<const faults::FabricInvariantChecker*> cs;
+  for (const auto& c : fabric_checkers_) cs.push_back(c.get());
+  return faults::FabricInvariantChecker::report(cs);
+}
+
 void FabricScenario::build() {
   std::string topo_err;
   std::optional<fabric::Topology> topo = fabric::Topology::parse(cfg_.topology, &topo_err);
@@ -297,70 +310,37 @@ void FabricScenario::build() {
     }
   }
 
-  // Hosts + fabric attachment, in HostId order. Hybrid modes build one
-  // HostSlot per host (flow-level AnalyticHost always, full kit lazily on
-  // promotion); the legacy kFull path keeps its HostModel + Stack per
-  // host. Both routes go through the HostPort seam, so the fabric wiring
-  // is identical either way.
+  // Hosts + fabric attachment, in HostId order: one HostSlot per host, its
+  // flow-level AnalyticHost always, its packet-level kit at commit() when
+  // pinned full (every host under kFull, the congested destinations under
+  // kAuto) or lazily on promotion. The fabric wiring goes through the
+  // slot's HostPort seam either way.
   for (int i = 0; i < n_hosts; ++i) {
     const net::HostId id = static_cast<net::HostId>(i);
-    host::HostConfig hc = cfg_.host;
-    hc.seed = mix_host_seed(cfg_.host.seed, static_cast<std::uint64_t>(i));
+    HostSlot::Config sc;
+    sc.id = id;
+    sc.name = topo->nodes()[host_nodes[i]].name;
+    sc.host = cfg_.host;
+    sc.host.seed = mix_host_seed(cfg_.host.seed, static_cast<std::uint64_t>(i));
     // Pure senders are unloaded; the datapath choice is moot there (same
     // convention as exp::Scenario's sender hosts).
-    if (!is_destination(i)) hc.ddio_enabled = false;
-    const std::string& name = topo->nodes()[host_nodes[i]].name;
-    sim::Simulator& hsim = cell_sim(host_cell_[i]);
-    if (hybrid()) {
-      HostSlot::Config sc;
-      sc.id = id;
-      sc.name = name;
-      sc.host = hc;
-      sc.transport = cfg_.transport;
-      sc.lossless = cfg_.lossless;
-      sc.pinned_full = cfg_.fidelity == HostFidelity::kAuto && is_pinned(i);
-      sc.start_full = sc.pinned_full;
-      sc.check_invariants = cfg_.check_invariants;
-      sc.messages_per_flow = cfg_.messages_per_flow;
-      auto slot = std::make_unique<HostSlot>(hsim, std::move(sc));
-      HostSlot* sp = slot.get();
-      net::Link& up =
-          fabric_->attach_host(id, name, [sp](const net::PacketRef& p) { sp->deliver(p); });
-      up.set_on_dequeue([sp](const net::Packet& p) { sp->uplink_dequeued(p); });
-      slot->wire(fabric_.get(), &up, fabric_->host_switch_idx(id), fabric_->host_port_idx(id));
-      if (cfg_.record_flow_stats) {
-        slot->set_flow_stats(cell_flow_stats_[host_cell_[i]].get());
-      }
-      slots_.push_back(std::move(slot));
-      continue;
-    }
-    auto h = std::make_unique<host::HostModel>(hsim, hc, name);
-    auto stack = std::make_unique<transport::Stack>(hsim, *h, id, cfg_.transport);
+    if (!is_destination(i)) sc.host.ddio_enabled = false;
+    sc.transport = cfg_.transport;
+    sc.lossless = cfg_.lossless;
+    sc.pinned_full = cfg_.fidelity == HostFidelity::kFull ||
+                     (cfg_.fidelity == HostFidelity::kAuto && is_pinned(i));
+    sc.check_invariants = cfg_.check_invariants;
+    sc.messages_per_flow = cfg_.messages_per_flow;
+    auto slot = std::make_unique<HostSlot>(cell_sim(host_cell_[i]), std::move(sc));
+    HostSlot* sp = slot.get();
+    net::Link& up = fabric_->attach_host(id, sp->name(),
+                                         [sp](const net::PacketRef& p) { sp->deliver(p); });
+    up.set_on_dequeue([sp](const net::Packet& p) { sp->uplink_dequeued(p); });
+    slot->wire(fabric_.get(), &up, fabric_->host_switch_idx(id), fabric_->host_port_idx(id));
     if (cfg_.record_flow_stats) {
-      stack->set_flow_stats(cell_flow_stats_[host_cell_[i]].get());
+      slot->set_flow_stats(cell_flow_stats_[host_cell_[i]].get());
     }
-
-    host::HostModel* hp = h.get();
-    full_ports_.push_back(std::make_unique<host::FullHostPort>(*hp));
-    host::HostPort* port = full_ports_.back().get();
-    net::Link& up =
-        fabric_->attach_host(id, name, [port](const net::PacketRef& p) { port->deliver(p); });
-    up.set_on_dequeue([port](const net::Packet& p) { port->uplink_dequeued(p); });
-    hp->set_egress([lnk = &up](const net::PacketRef& p) { lnk->send(p); });
-    if (cfg_.lossless) {
-      // Watermark-driven host backpressure: ask the leaf to pause the
-      // delivery port at half the RX SRAM, resume at a quarter. With the
-      // leaf's headroom annex absorbing the reaction gap, the NIC buffer
-      // stops being the lossy element — host congestion propagates
-      // upstream as pause instead of dropping here.
-      fabric::Fabric* fab = fabric_.get();
-      const sim::Bytes buf = hc.nic_rx_buffer_bytes;
-      hp->nic().set_pfc(buf / 2, buf / 4,
-                        [fab, id](bool on) { fab->host_pause_request(id, 0, on); });
-    }
-
-    hosts_.push_back(std::move(h));
-    stacks_.push_back(std::move(stack));
+    slots_.push_back(std::move(slot));
   }
   fabric_->finalize();
 
@@ -373,10 +353,37 @@ void FabricScenario::build() {
     }
   }
 
-  // Workload mode replaces the long flows entirely: open-loop churn through
-  // the pooled stacks, sized off the topology's host bisection bandwidth
-  // (sum of participating hosts' uplink rates / 2 — the load fraction then
-  // means the same pressure on any topology).
+  // Long flows: flows_per_pair per (sender, destination) pair with
+  // globally unique flow ids, registered on the slots (flows must outlive
+  // tier swaps, so the slot — not an app bound to one stack — owns them).
+  // Workload mode replaces them entirely.
+  struct Start {
+    int src;
+    net::FlowId flow;
+    int k;  // within-pair index; the stagger multiplier
+  };
+  std::vector<Start> starts;
+  if (!cfg_.workload.enabled) {
+    net::FlowId fid = 100;
+    for (int dst : destinations_) {
+      for (int src = 0; src < n_hosts; ++src) {
+        if (src == dst) continue;
+        for (int k = 0; k < cfg_.flows_per_pair; ++k) {
+          const net::FlowId f = fid + static_cast<net::FlowId>(k);
+          slots_[src]->add_sender(f, static_cast<net::HostId>(dst), cfg_.flow_bytes);
+          slots_[dst]->add_receiver(f, static_cast<net::HostId>(src));
+          starts.push_back({src, f, k});
+        }
+        fid += static_cast<net::FlowId>(cfg_.flows_per_pair);
+      }
+    }
+  }
+  for (auto& s : slots_) s->commit();
+
+  // Workload mode: open-loop churn through the pooled stacks, sized off the
+  // topology's host bisection bandwidth (sum of participating hosts' uplink
+  // rates / 2 — the load fraction then means the same pressure on any
+  // topology).
   if (cfg_.workload.enabled) {
     double uplink_bps = 0.0;
     for (int i = 0; i < n_hosts; ++i) {
@@ -389,61 +396,23 @@ void FabricScenario::build() {
     }
     build_workload(n_hosts, uplink_bps / 8.0 / 2.0);
   }
-
-  // Long flows: one ThroughputApp per (sender, destination) pair with
-  // globally unique flow ids. Hybrid modes register the same flow layout
-  // on the slots instead (flows must outlive tier swaps, so the slot — not
-  // an app bound to one stack — owns them), then mirror ThroughputApp's
-  // staggered starts.
-  if (!cfg_.workload.enabled) {
-    net::FlowId fid = 100;
-    if (hybrid()) {
-      struct Start {
-        int src;
-        net::FlowId flow;
-        int k;  // within-pair index; the stagger multiplier
-      };
-      std::vector<Start> starts;
-      for (int dst : destinations_) {
-        for (int src = 0; src < n_hosts; ++src) {
-          if (src == dst) continue;
-          for (int k = 0; k < cfg_.flows_per_pair; ++k) {
-            const net::FlowId f = fid + static_cast<net::FlowId>(k);
-            slots_[src]->add_sender(f, static_cast<net::HostId>(dst), cfg_.flow_bytes);
-            slots_[dst]->add_receiver(f, static_cast<net::HostId>(src));
-            starts.push_back({src, f, k});
-          }
-          fid += static_cast<net::FlowId>(cfg_.flows_per_pair);
-        }
-      }
-      for (auto& s : slots_) s->commit();
-      for (const Start& st : starts) {
-        HostSlot* sp = slots_[st.src].get();
-        cell_sim(host_cell_[st.src])
-            .after(cfg_.flow_stagger * st.k, [sp, f = st.flow] { sp->start_flow(f); });
-      }
-    } else {
-      for (int dst : destinations_) {
-        for (int src = 0; src < n_hosts; ++src) {
-          if (src == dst) continue;
-          tput_apps_.push_back(std::make_unique<apps::ThroughputApp>(
-              *stacks_[src], *stacks_[dst], cfg_.flows_per_pair, fid, cfg_.flow_stagger,
-              cfg_.flow_bytes));
-          fid += static_cast<net::FlowId>(cfg_.flows_per_pair);
-        }
-      }
-    }
+  // Staggered long-flow starts, iperf-like: flow k of a pair starts k
+  // stagger periods in.
+  for (const Start& st : starts) {
+    HostSlot* sp = slots_[st.src].get();
+    cell_sim(host_cell_[st.src])
+        .after(cfg_.flow_stagger * st.k, [sp, f = st.flow] { sp->start_flow(f); });
   }
 
-  // MApp interference + optional hostCC on the congested destinations.
-  // Hybrid modes hang both off the slot's full-tier HostModel: under kAuto
-  // every destination is pinned full, so it exists; under kAnalytic there
-  // is none — no memory subsystem to interfere with (and validation
-  // already rejected hostcc_enabled there).
+  // MApp interference + optional hostCC on the congested destinations,
+  // hung off the slot's full-tier HostModel: they are pinned full under
+  // kFull and kAuto, so it exists; under kAnalytic there is none — no
+  // memory subsystem to interfere with (and validation already rejected
+  // hostcc_enabled there).
   const int congested = std::min(cfg_.congested_hosts, static_cast<int>(destinations_.size()));
   for (int c = 0; c < congested; ++c) {
     const int hid = destinations_[c];
-    host::HostModel* hm = hybrid() ? slots_[hid]->full_host() : hosts_[hid].get();
+    host::HostModel* hm = slots_[hid]->full_host();
     if (cfg_.mapp_degree > 0.0 && hm) {
       mapps_.push_back(std::make_unique<apps::MemApp>(
           *hm, host::mapp_cores_for_degree(cfg_.mapp_degree)));
@@ -462,8 +431,8 @@ void FabricScenario::build() {
     }
   }
   if (controllers_.empty()) {
-    host::HostModel* h0 = hybrid() ? slots_[0]->full_host() : hosts_[0].get();
-    if (h0) {  // null only under kAnalytic — no full-tier host to sample
+    if (host::HostModel* h0 = slots_[0]->full_host()) {
+      // Null only under kAnalytic — no full-tier host to sample.
       passive_sampler_ = std::make_unique<core::SignalSampler>(*h0, cfg_.hostcc.signals);
       passive_sampler_->start();
     }
@@ -497,15 +466,10 @@ void FabricScenario::build() {
     }
   }
 
-  // Invariant audit: per-host conservation laws on every host, plus the
-  // fabric-wide shared-buffer ledger. Read-only either way. Hybrid slots
-  // own a checker per full kit instead (built with the kit, audited on the
-  // active tier only).
+  // Invariant audit: per-host conservation laws (each slot owns a checker
+  // per full kit, built with the kit and audited on the active tier only),
+  // plus the fabric-wide shared-buffer ledger. Read-only either way.
   if (cfg_.check_invariants) {
-    for (auto& h : hosts_) {
-      host_checkers_.push_back(std::make_unique<faults::InvariantChecker>(*h));
-      host_checkers_.back()->start();
-    }
     // One checker per cell over that cell's switches, on the cell's own
     // loop: every ledger read stays on the owning thread. The deep
     // whole-fabric sweeps (dangling XOFF, deadlock cycles) read every
@@ -548,8 +512,7 @@ void FabricScenario::build() {
         // Host 0's MSR/MBA surfaces exist only on a full-tier host;
         // validation already rejected the fault kinds that need them when
         // every host is analytic.
-        host::HostModel* h0 = hybrid() ? slots_[0]->full_host() : hosts_[0].get();
-        if (h0) {
+        if (host::HostModel* h0 = slots_[0]->full_host()) {
           inj->attach_msrs(h0->msrs());
           inj->attach_mba(h0->mba());
         }
@@ -577,28 +540,26 @@ void FabricScenario::build() {
   // per-switch and per-host series line up with docs/TOPOLOGY.md.
   metrics_.gauge("sim/events_executed",
                  [this] { return static_cast<double>(events_executed()); });
-  for (auto& h : hosts_) h->register_metrics(metrics_);
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    stacks_[i]->register_metrics(metrics_, hosts_[i]->name() + "/transport");
-  }
-  // Hybrid: full kits that exist at build time (the pinned destinations)
-  // export the legacy per-host series; kits built later by promotion are
-  // covered by the telemetry tier series instead (registration is a
-  // build-time affair).
+  // Full kits that exist at build time (every pinned slot) export the
+  // per-host, transport, and invariant series; kits built later by
+  // promotion are covered by the telemetry tier series instead
+  // (registration is a build-time affair). The registry exports in name
+  // order, so registration order does not reach the output.
   for (auto& s : slots_) {
     if (host::HostModel* hm = s->full_host()) {
       hm->register_metrics(metrics_);
       s->stack()->register_metrics(metrics_, s->name() + "/transport");
     }
+    if (faults::InvariantChecker* ck = s->checker()) {
+      ck->register_metrics(metrics_, s->name() + "/invariants");
+    }
   }
   for (std::size_t c = 0; c < controllers_.size(); ++c) {
-    const std::string& cn =
-        hybrid() ? slots_[controller_host_[c]]->name() : hosts_[controller_host_[c]]->name();
-    controllers_[c]->register_metrics(metrics_, cn + "/hostcc");
+    controllers_[c]->register_metrics(metrics_,
+                                      slots_[controller_host_[c]]->name() + "/hostcc");
   }
   if (passive_sampler_) {
-    const std::string& sn = hybrid() ? slots_[0]->name() : hosts_[0]->name();
-    passive_sampler_->register_metrics(metrics_, sn + "/hostcc/signals");
+    passive_sampler_->register_metrics(metrics_, slots_[0]->name() + "/hostcc/signals");
   }
   fabric_->register_metrics(metrics_, "fabric");
   if (cfg_.workload.enabled) {
@@ -619,17 +580,14 @@ void FabricScenario::build() {
     });
     metrics_.counter_fn("workload/conn_pool_reuses", [this] {
       std::uint64_t n = 0;
-      for (auto& st : stacks_) n += st->pool_reuses();
+      for (auto& s : slots_) n += s->stack()->pool_reuses();
       return n;
     });
     metrics_.counter_fn("workload/orphan_packets", [this] {
       std::uint64_t n = 0;
-      for (auto& st : stacks_) n += st->orphan_packets();
+      for (auto& s : slots_) n += s->stack()->orphan_packets();
       return n;
     });
-  }
-  for (std::size_t i = 0; i < host_checkers_.size(); ++i) {
-    host_checkers_[i]->register_metrics(metrics_, hosts_[i]->name() + "/invariants");
   }
   // The per-cell checkers and injectors export one set of metrics, under
   // the names a single instance registers: sums, and the peak tree depth.
@@ -701,7 +659,7 @@ void FabricScenario::build() {
       telemetry_.add_series(pid, "occupancy_bytes",
                             [sw] { return static_cast<std::int64_t>(sw->occupancy()); });
       if (cfg_.lossless) {
-        // Lossless-only series (legacy exports stay byte-identical).
+        // Lossless-only series (lossy exports stay byte-identical).
         telemetry_.add_series(pid, "pfc_paused_ports", [sw] {
           return static_cast<std::int64_t>(sw->paused_port_count());
         });
@@ -722,24 +680,16 @@ void FabricScenario::build() {
         });
       }
     }
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      host::HostModel* hp = hosts_[i].get();
-      const int pid = telemetry_.add_group(hp->name(), host_cell_[i]);
-      telemetry_.add_series(pid, "nic_queued_bytes", [hp] {
-        return static_cast<std::int64_t>(hp->nic().queued_bytes());
-      });
-      telemetry_.add_series(pid, "iio_occupancy_bytes", [hp] {
-        return static_cast<std::int64_t>(hp->iio().occupancy_bytes());
-      });
-    }
-    // Hybrid host groups: the tier flag plus the legacy series (zero while
-    // the host is analytic or the kit doesn't exist yet); the sampler
-    // lambdas run on the slot's owning cell thread.
+    // Host groups: the datapath series (zero while the host is analytic or
+    // its kit doesn't exist yet), led by the tier flag in hybrid modes; the
+    // sampler lambdas run on the slot's owning cell thread.
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       HostSlot* sp = slots_[i].get();
       const int pid = telemetry_.add_group(sp->name(), host_cell_[i]);
-      telemetry_.add_series(
-          pid, "tier", [sp] { return static_cast<std::int64_t>(sp->full_active() ? 1 : 0); });
+      if (hybrid()) {
+        telemetry_.add_series(
+            pid, "tier", [sp] { return static_cast<std::int64_t>(sp->full_active() ? 1 : 0); });
+      }
       telemetry_.add_series(pid, "nic_queued_bytes", [sp] {
         host::HostModel* hm = sp->full_host();
         return hm ? static_cast<std::int64_t>(hm->nic().queued_bytes()) : 0;
@@ -809,7 +759,7 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
 
   // Receiver endpoints are created lazily by each stack's accept hook.
   for (int i = 0; i < n_hosts; ++i) {
-    transport::Stack* st = stacks_[i].get();
+    transport::Stack* st = &stack(i);
     st->set_accept([this, st](const net::Packet& p) { workload_accept(*st, p); });
   }
 
@@ -823,20 +773,20 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
       return kWorkloadFlowBase + (static_cast<net::FlowId>(s) * n_hosts + d) * spp + k;
     };
     const auto stats_of = [&](int i) { return cell_flow_stats_[host_cell_[i]].get(); };
-    for (int i = 0; i < n_hosts; ++i) hosts_[i]->prewarm_rx_queues();
+    for (int i = 0; i < n_hosts; ++i) host(i).prewarm_rx_queues();
     for (int s = 0; s < n_hosts; ++s) {
       for (int d = 0; d < n_hosts; ++d) {
         if (s == d) continue;
         for (int k = 0; k < spp; ++k) {
           const net::FlowId f = flow_of(s, d, k);
-          stacks_[s]->open(f, static_cast<net::HostId>(d));
-          stacks_[d]->open(f, static_cast<net::HostId>(s));
+          stack(s).open(f, static_cast<net::HostId>(d));
+          stack(d).open(f, static_cast<net::HostId>(s));
           // Per-flow accounting maps outside the stacks fill lazily on a
           // flow id's first packet; touch them all now so a rarely-used
           // slot's first real use mid-run stays heap-free. Data and ACKs
           // both carry the flow id, so both hosts see it on both paths.
-          hosts_[s]->prewarm_flow(f);
-          hosts_[d]->prewarm_flow(f);
+          host(s).prewarm_flow(f);
+          host(d).prewarm_flow(f);
           stats_of(s)->preregister(f, static_cast<net::HostId>(s));
           stats_of(d)->preregister(f, static_cast<net::HostId>(s));
         }
@@ -846,8 +796,8 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
       for (int d = 0; d < n_hosts; ++d) {
         if (s == d) continue;
         for (int k = 0; k < spp; ++k) {
-          stacks_[s]->close(flow_of(s, d, k));
-          stacks_[d]->close(flow_of(s, d, k));
+          stack(s).close(flow_of(s, d, k));
+          stack(d).close(flow_of(s, d, k));
         }
       }
     }
@@ -872,7 +822,7 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
     wp.cdf = &workload_cdf_;
     wp.seed = mix_host_seed(cfg_.workload.seed, static_cast<std::uint64_t>(i));
     workloads_.push_back(std::make_unique<workload::HostWorkload>(
-        cell_sim(host_cell_[i]), *stacks_[i], wp));
+        cell_sim(host_cell_[i]), stack(i), wp));
     workloads_.back()->start(sim::Time::zero());
   }
 
@@ -887,9 +837,9 @@ void FabricScenario::build_workload(int n_hosts, double bisection_bytes_per_sec)
       std::vector<transport::TcpConnection*> kids;
       for (int j = 0; j < fanout; ++j) {
         const int child = (root + 1 + j) % n_hosts;
-        kids.push_back(&stacks_[root]->connect(fid, static_cast<net::HostId>(child)));
+        kids.push_back(&stack(root).connect(fid, static_cast<net::HostId>(child)));
         rpc_servers_.push_back(std::make_unique<apps::RpcServer>(
-            *stacks_[child], fid, static_cast<net::HostId>(root),
+            stack(child), fid, static_cast<net::HostId>(root),
             cfg_.workload.rpc.response_bytes));
         ++fid;
       }
@@ -908,11 +858,6 @@ void FabricScenario::attach_profiler(bool enable) {
     for (int c = 0; c < plan_.cells; ++c) {
       cell_profilers_.push_back(std::make_unique<obs::SimProfiler>());
     }
-  }
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i]->set_profiler(cell_profilers_[host_cell_[i]].get());
-    stacks_[i]->set_profiler(
-        cell_profilers_[host_cell_[i]]->handle(hosts_[i]->name() + "/transport"));
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (host::HostModel* hm = slots_[i]->full_host()) {
@@ -949,17 +894,9 @@ void FabricScenario::mark_measurement_start() {
   base_dst_arrived_ = 0;
   base_dst_dropped_ = 0;
   for (int d : destinations_) {
-    if (hybrid()) {
-      base_dst_arrived_ += slots_[d]->arrived_pkts();
-      base_dst_dropped_ += slots_[d]->dropped_pkts();
-    } else {
-      base_dst_arrived_ += hosts_[d]->nic().stats().arrived_pkts;
-      base_dst_dropped_ += hosts_[d]->nic().stats().dropped_pkts;
-    }
-  }
-  for (auto& app : tput_apps_) app->goodput_since_mark(mark);
-  if (hybrid()) {
-    for (int d : destinations_) slots_[d]->goodput_since_mark(mark);
+    base_dst_arrived_ += slots_[d]->arrived_pkts();
+    base_dst_dropped_ += slots_[d]->dropped_pkts();
+    slots_[d]->goodput_since_mark(mark);
   }
   measure_start_ = mark;
   // FCT percentiles cover the measurement window only (per-flow lifetime
@@ -998,10 +935,7 @@ FabricScenarioResults FabricScenario::run_measure() {
 
   FabricScenarioResults r;
   double tput = 0.0;
-  for (auto& app : tput_apps_) tput += app->goodput_since_mark(end).as_gbps();
-  if (hybrid()) {
-    for (int d : destinations_) tput += slots_[d]->goodput_since_mark(end).as_gbps();
-  }
+  for (int d : destinations_) tput += slots_[d]->goodput_since_mark(end).as_gbps();
   r.net_tput_gbps = tput;
   if (cfg_.workload.enabled && end > measure_start_) {
     // Workload goodput: bytes of flow episodes completed inside the window
@@ -1012,13 +946,8 @@ FabricScenarioResults FabricScenario::run_measure() {
 
   std::uint64_t arrived = 0, dropped = 0;
   for (int d : destinations_) {
-    if (hybrid()) {
-      arrived += slots_[d]->arrived_pkts();
-      dropped += slots_[d]->dropped_pkts();
-    } else {
-      arrived += hosts_[d]->nic().stats().arrived_pkts;
-      dropped += hosts_[d]->nic().stats().dropped_pkts;
-    }
+    arrived += slots_[d]->arrived_pkts();
+    dropped += slots_[d]->dropped_pkts();
   }
   arrived -= base_dst_arrived_;
   dropped -= base_dst_dropped_;
@@ -1038,11 +967,6 @@ FabricScenarioResults FabricScenario::run_measure() {
       offered > 0 ? static_cast<double>(sw_drops) / static_cast<double>(offered) : 0.0;
   r.fabric_drop_rate_pct = 100.0 * r.fabric_drop_frac;
 
-  for (auto& app : tput_apps_) {
-    const auto s = app->sender_stats();
-    r.sender_timeouts += s.timeouts;
-    r.sender_fast_retransmits += s.fast_retransmits;
-  }
   for (auto& s : slots_) {
     const auto st = s->sender_stats();
     r.sender_timeouts += st.timeouts;
@@ -1051,7 +975,8 @@ FabricScenarioResults FabricScenario::run_measure() {
   if (cfg_.workload.enabled) {
     // Every host both sends and receives; total_stats folds the retired
     // (pooled) endpoints' counters in with the live ones.
-    for (auto& st : stacks_) {
+    for (auto& slot : slots_) {
+      const transport::Stack* st = slot->stack();
       const auto s = st->total_stats();
       r.sender_timeouts += s.timeouts;
       r.sender_fast_retransmits += s.fast_retransmits;
@@ -1086,14 +1011,10 @@ FabricScenarioResults FabricScenario::run_measure() {
     r.avg_pcie_gbps = passive_sampler_->bs_value().as_gbps();
   }
 
-  for (auto& c : host_checkers_) {
-    c->check_now();  // final sweep at the measurement boundary
-    r.invariant_violations += c->total_violations();
-  }
   for (auto& s : slots_) {
     if (faults::InvariantChecker* ck = s->checker()) {
-      // A parked kit's counters are frozen (audited once at demotion);
-      // sweep only the live ones.
+      // Final sweep at the measurement boundary. A parked kit's counters
+      // are frozen (audited once at demotion); sweep only the live ones.
       if (s->full_active()) ck->check_now();
       r.invariant_violations += ck->total_violations();
     }

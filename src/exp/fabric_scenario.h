@@ -1,7 +1,9 @@
-// FabricScenario: rack-scale experiments — N full HostModels (each with
-// its own NIC/PCIe/IIO/MC datapath, MApp interference, and optional hostCC
-// controller) wired through a multi-switch fabric::Fabric (leaf–spine /
-// fat-tree / star) with shared-buffer DT switches and ECMP routing.
+// FabricScenario: rack-scale experiments — N hosts, each an exp::HostSlot
+// (a full HostModel with its own NIC/PCIe/IIO/MC datapath, MApp
+// interference, and optional hostCC controller, or the flow-level tier
+// under --fidelity analytic|auto) wired through a multi-switch
+// fabric::Fabric (leaf–spine / fat-tree / star) with shared-buffer DT
+// switches and ECMP routing.
 //
 // The single-star exp::Scenario remains the calibrated testbed for the
 // paper's figures; FabricScenario is the scaling stage on top of it
@@ -23,7 +25,6 @@
 
 #include "apps/mem_app.h"
 #include "apps/rpc_app.h"
-#include "apps/throughput_app.h"
 #include "exp/fidelity.h"
 #include "fabric/fabric.h"
 #include "fabric/partition.h"
@@ -90,8 +91,8 @@ struct FabricScenarioConfig {
 
   // Production workload engine (src/workload): open-loop flow churn with
   // empirical sizes driven through the pooled transport stacks. When
-  // enabled it replaces the long-flow ThroughputApps: every host is both
-  // sender and receiver, per-flow FCT accounting turns on automatically,
+  // enabled it replaces the long flows: every host is both sender and
+  // receiver, per-flow FCT accounting turns on automatically,
   // and `traffic`/`flows_per_pair`/`flow_bytes` are ignored. Churn pins
   // every host to the packet-level tier (the analytic tier cannot open or
   // retire connections), so --fidelity auto is coerced to full here.
@@ -123,18 +124,19 @@ struct FabricScenarioConfig {
 
   bool coalesced_drains = true;          // HOSTCC_DRAIN_MODE overrides
 
-  // Hybrid host fidelity (--fidelity full|analytic|auto). kFull keeps the
-  // legacy all-HostModel path byte-identical; kAnalytic runs every host as
-  // a flow-level AnalyticHost; kAuto pins the first `congested_hosts` flow
-  // destinations full (they carry the MApps, controllers, and signal
-  // sampler) and runs everyone else analytic with promotion/demotion
-  // driven by leaf delivery-port congestion. See src/exp/fidelity.h.
+  // Host fidelity (--fidelity full|analytic|auto). Every host is a
+  // HostSlot: kFull pins every slot full (a packet-level HostModel per
+  // host); kAnalytic runs every host as a flow-level AnalyticHost; kAuto
+  // pins the first `congested_hosts` flow destinations full (they carry
+  // the MApps, controllers, and signal sampler) and runs everyone else
+  // analytic with promotion/demotion driven by leaf delivery-port
+  // congestion. See src/exp/fidelity.h.
   HostFidelity fidelity = HostFidelity::kFull;
   sim::Bytes promote_threshold = 64 * 1024;  // leaf delivery-port queue bytes
   sim::Time demote_quiescence = sim::Time::microseconds(100);
-  // Hybrid modes only: cap each closed-loop flow (flow_bytes > 0) at this
-  // many messages, so senders drain and the demotion path is reachable.
-  // 0 = endless back-to-back messages (the legacy ThroughputApp behavior).
+  // Cap each closed-loop flow (flow_bytes > 0) at this many messages, so
+  // senders drain (and, under kAuto, the demotion path is reachable).
+  // 0 = endless back-to-back messages.
   std::uint64_t messages_per_flow = 0;
 };
 
@@ -217,14 +219,14 @@ class FabricScenario {
   sim::ShardedSimulator* engine() { return engine_.get(); }
   const fabric::ShardPlan& shard_plan() const { return plan_; }
   fabric::Fabric& fabric() { return *fabric_; }
-  int host_count() const {
-    return static_cast<int>(hybrid() ? slots_.size() : hosts_.size());
-  }
-  host::HostModel& host(int i) { return *hosts_.at(i); }
-  transport::Stack& stack(int i) { return *stacks_.at(i); }
-  // Hybrid-fidelity surface (fidelity != kFull; empty otherwise).
-  bool hybrid() const { return cfg_.fidelity != HostFidelity::kFull; }
+  int host_count() const { return static_cast<int>(slots_.size()); }
+  // Host i's packet-level kit; throws std::out_of_range when it has none
+  // (an analytic host that was never promoted).
+  host::HostModel& host(int i);
+  transport::Stack& stack(int i);
   HostSlot& slot(int i) { return *slots_.at(i); }
+  // True under --fidelity analytic|auto, where hosts can be flow-level.
+  bool hybrid() const { return cfg_.fidelity != HostFidelity::kFull; }
   FidelityManager* fidelity_manager(int i = 0) {
     return i < static_cast<int>(managers_.size()) ? managers_[i].get() : nullptr;
   }
@@ -248,6 +250,9 @@ class FabricScenario {
   const obs::DecisionLog& decisions() const { return decisions_; }
   // Sampled per-switch/per-port occupancy time-series (cfg.telemetry).
   obs::FabricTelemetry& telemetry() { return telemetry_; }
+  // The fabric invariant report over every cell's checker: summed counts
+  // and the recorded violations in time order (cell order on ties).
+  std::string fabric_invariants_report() const;
   // Merged fabric-wide pause ledger (cfg.lossless). The run keeps one
   // ledger per cell and folds them here inside run_measure().
   const fabric::PauseLedger& pause_ledger() const { return pause_ledger_; }
@@ -282,15 +287,9 @@ class FabricScenario {
   std::vector<int> host_cell_;  // HostId -> owning cell
 
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::vector<std::unique_ptr<host::HostModel>> hosts_;
-  std::vector<std::unique_ptr<transport::Stack>> stacks_;
-  // kFull routes the fabric seam through FullHostPort (same calls, named
-  // seam); hybrid modes replace hosts_/stacks_/tput_apps_ with slots_.
-  std::vector<std::unique_ptr<host::FullHostPort>> full_ports_;
-  std::vector<std::unique_ptr<HostSlot>> slots_;
+  std::vector<std::unique_ptr<HostSlot>> slots_;                // HostId order
   std::vector<std::unique_ptr<FidelityManager>> managers_;      // kAuto, per cell
   std::vector<std::unique_ptr<obs::DecisionLog>> mgr_decisions_;  // per manager
-  std::vector<std::unique_ptr<apps::ThroughputApp>> tput_apps_;
   // Workload engine (cfg.workload.enabled): one churn generator per host,
   // plus the RPC fan-out/fan-in trees and their server halves. The churn
   // flow-id range is [kWorkloadFlowBase, workload_flow_end_).
@@ -305,7 +304,6 @@ class FabricScenario {
   std::vector<std::unique_ptr<core::HostCcController>> controllers_;
   std::vector<int> controller_host_;  // parallel: which host each controls
   std::unique_ptr<core::SignalSampler> passive_sampler_;  // host 0, hostCC off
-  std::vector<std::unique_ptr<faults::InvariantChecker>> host_checkers_;
   // One fabric checker / injector per cell, each on its cell's simulator
   // and scoped to the switches/uplinks that cell owns.
   std::vector<std::unique_ptr<faults::FabricInvariantChecker>> fabric_checkers_;

@@ -38,7 +38,7 @@ void HostSlot::add_receiver(net::FlowId flow, net::HostId peer) {
 
 void HostSlot::commit() {
   analytic_->set_flow_stats(fs_);
-  if (cfg_.start_full) {
+  if (cfg_.pinned_full) {
     build_full_kit();
     analytic_->set_active(false);
     active_ = full_port_.get();
@@ -92,6 +92,10 @@ void HostSlot::build_full_kit() {
   if (fs_) stack_->set_flow_stats(fs_);
   full_host_->set_egress([lnk = uplink_](const net::PacketRef& p) { lnk->send(p); });
   if (cfg_.lossless) {
+    // Watermark-driven host backpressure: ask the leaf to pause the
+    // delivery port at half the RX SRAM, resume at a quarter. With the
+    // leaf's headroom annex absorbing the reaction gap, host congestion
+    // propagates upstream as pause instead of dropping at the NIC.
     fabric::Fabric* fab = fabric_;
     const net::HostId id = cfg_.id;
     const sim::Bytes buf = cfg_.host.nic_rx_buffer_bytes;

@@ -52,6 +52,7 @@
 // wedging; each intervention is counted in storm_breaks().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -328,31 +329,48 @@ class FabricInvariantChecker {
   int tree_depth_peak() const { return tree_depth_peak_; }
   std::uint64_t storm_breaks() const { return storm_breaks_; }
 
-  std::string report() const {
+  std::string report() const { return report({this}); }
+
+  // One report over several checkers (FabricScenario's per-cell ones):
+  // summed counts, and the recorded violations merged in time order, in
+  // the given checker order on ties.
+  static std::string report(const std::vector<const FabricInvariantChecker*>& checkers) {
+    std::uint64_t checks = 0, total = 0;
+    std::uint64_t by_class[kFabricInvariantClasses] = {};
+    std::vector<FabricViolation> recorded;
+    for (const FabricInvariantChecker* c : checkers) {
+      checks += c->checks_;
+      total += c->total_violations_;
+      for (int i = 0; i < kFabricInvariantClasses; ++i) by_class[i] += c->by_class_[i];
+      recorded.insert(recorded.end(), c->recorded_.begin(), c->recorded_.end());
+    }
+    std::stable_sort(
+        recorded.begin(), recorded.end(),
+        [](const FabricViolation& a, const FabricViolation& b) { return a.at < b.at; });
     // Silent no-route drops can't hide: the final count is always in the
     // end-of-run report (and `--json` meta), even on an otherwise-OK run.
     const std::string no_route =
-        "fabric no-route drops: " + std::to_string(fabric_.totals().no_route_drops);
-    if (total_violations_ == 0) {
-      return "fabric invariants: OK (" + std::to_string(checks_) + " checks)\n" + no_route;
+        "fabric no-route drops: " +
+        std::to_string(checkers.front()->fabric_.totals().no_route_drops);
+    if (total == 0) {
+      return "fabric invariants: OK (" + std::to_string(checks) + " checks)\n" + no_route;
     }
-    std::string out = "fabric invariants: " + std::to_string(total_violations_) +
-                      " violation(s) in " + std::to_string(checks_) + " checks\n" + no_route +
-                      "\n";
+    std::string out = "fabric invariants: " + std::to_string(total) + " violation(s) in " +
+                      std::to_string(checks) + " checks\n" + no_route + "\n";
     for (int i = 0; i < kFabricInvariantClasses; ++i) {
-      if (by_class_[i] == 0) continue;
+      if (by_class[i] == 0) continue;
       out += "  " +
              std::string(fabric_invariant_class_name(static_cast<FabricInvariantClass>(i))) +
-             ": " + std::to_string(by_class_[i]) + "\n";
+             ": " + std::to_string(by_class[i]) + "\n";
     }
-    for (const FabricViolation& v : recorded_) {
+    for (const FabricViolation& v : recorded) {
       char line[64];
       std::snprintf(line, sizeof(line), "  [%10.3fus] %s: ", v.at.us(),
                     fabric_invariant_class_name(v.cls));
       out += line + v.detail + "\n";
     }
-    if (total_violations_ > recorded_.size()) {
-      out += "  ... (" + std::to_string(total_violations_ - recorded_.size()) +
+    if (total > recorded.size()) {
+      out += "  ... (" + std::to_string(total - recorded.size()) +
              " further violations not recorded)\n";
     }
     return out;

@@ -106,44 +106,54 @@ TEST(FidelityTest, AutoModeIsShardInvariant) {
 // The incast victim starts analytic (nothing pinned), promotes while the
 // incast is in full swing, and the receiver-side state transfer loses no
 // bytes: every closed-loop message of every flow completes and is
-// delivered exactly once, with all conservation ledgers balanced.
+// delivered exactly once, with all conservation ledgers balanced. The same
+// closed-loop cap holds under --fidelity full, where every slot is pinned
+// full from the start.
 TEST(FidelityTest, PromotionMidIncastTransfersStateExactly) {
-  exp::FabricScenarioConfig cfg;
-  cfg.topology = "leaf-spine:2x4";
-  cfg.fidelity = exp::HostFidelity::kAuto;
-  cfg.congested_hosts = 0;  // nothing pinned: the victim must earn its tier
-  cfg.promote_threshold = 32 * 1024;
-  cfg.flow_bytes = 64 * 1024;
-  cfg.messages_per_flow = 4;
-  cfg.record_flow_stats = true;
-  cfg.warmup = sim::Time::milliseconds(1);
-  cfg.measure = sim::Time::milliseconds(6);
-  exp::FabricScenario fs(cfg);
-  const exp::FabricScenarioResults r = fs.run();
+  for (const exp::HostFidelity mode : {exp::HostFidelity::kAuto, exp::HostFidelity::kFull}) {
+    SCOPED_TRACE(exp::host_fidelity_name(mode));
+    exp::FabricScenarioConfig cfg;
+    cfg.topology = "leaf-spine:2x4";
+    cfg.fidelity = mode;
+    cfg.congested_hosts = 0;  // nothing pinned: the victim must earn its tier
+    cfg.promote_threshold = 32 * 1024;
+    cfg.flow_bytes = 64 * 1024;
+    cfg.messages_per_flow = 4;
+    cfg.record_flow_stats = true;
+    cfg.warmup = sim::Time::milliseconds(1);
+    cfg.measure = sim::Time::milliseconds(6);
+    exp::FabricScenario fs(cfg);
+    const exp::FabricScenarioResults r = fs.run();
 
-  EXPECT_GE(r.promotions, 1u);
-  EXPECT_GE(fs.slot(0).promotions(), 1u) << "the incast victim should promote";
-  EXPECT_EQ(r.invariant_violations, 0u);
+    EXPECT_EQ(r.invariant_violations, 0u);
 
-  // 7 senders x 2 flows, ids 100.. : each must deliver exactly
-  // messages_per_flow * flow_bytes to the victim, across both tiers.
-  const sim::Bytes expect_bytes = 4 * 64 * 1024;
-  net::FlowId fid = 100;
-  for (int src = 1; src < 8; ++src) {
-    for (int k = 0; k < cfg.flows_per_pair; ++k) {
-      EXPECT_EQ(fs.slot(0).delivered_bytes(fid + k), expect_bytes)
-          << "flow " << (fid + k) << " from h" << src;
+    // 7 senders x 2 flows, ids 100.. : each must deliver exactly
+    // messages_per_flow * flow_bytes to the victim, across both tiers.
+    const sim::Bytes expect_bytes = 4 * 64 * 1024;
+    net::FlowId fid = 100;
+    for (int src = 1; src < 8; ++src) {
+      for (int k = 0; k < cfg.flows_per_pair; ++k) {
+        EXPECT_EQ(fs.slot(0).delivered_bytes(fid + k), expect_bytes)
+            << "flow " << (fid + k) << " from h" << src;
+      }
+      fid += static_cast<net::FlowId>(cfg.flows_per_pair);
     }
-    fid += static_cast<net::FlowId>(cfg.flows_per_pair);
-  }
+    if (mode == exp::HostFidelity::kFull) {
+      EXPECT_TRUE(fs.slot(0).full_active());
+      EXPECT_EQ(r.promotions + r.demotions, 0u);
+      continue;
+    }
 
-  // With the messages drained, the quiescence window demotes the victim
-  // back to the flow-level tier and parks the packet-level kit (its 50ns
-  // memory-controller lane stops).
-  EXPECT_GE(r.demotions, 1u);
-  EXPECT_FALSE(fs.slot(0).full_active());
-  ASSERT_NE(fs.slot(0).full_host(), nullptr);
-  EXPECT_TRUE(fs.slot(0).full_host()->parked());
+    EXPECT_GE(r.promotions, 1u);
+    EXPECT_GE(fs.slot(0).promotions(), 1u) << "the incast victim should promote";
+    // With the messages drained, the quiescence window demotes the victim
+    // back to the flow-level tier and parks the packet-level kit (its 50ns
+    // memory-controller lane stops).
+    EXPECT_GE(r.demotions, 1u);
+    EXPECT_FALSE(fs.slot(0).full_active());
+    ASSERT_NE(fs.slot(0).full_host(), nullptr);
+    EXPECT_TRUE(fs.slot(0).full_host()->parked());
+  }
 }
 
 // With no packet-level host anywhere, the NIC drain-mode knob must not

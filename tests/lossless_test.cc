@@ -21,6 +21,7 @@
 #include "faults/fabric_invariants.h"
 #include "faults/fault_plan.h"
 #include "net/packet.h"
+#include "obs/metrics.h"
 #include "sim/shard_channel.h"
 #include "sim/simulator.h"
 #include "transport/congestion_control.h"
@@ -458,26 +459,29 @@ void run_in_slices(exp::FabricScenario& s, sim::Time phase, int n) {
   }
 }
 
+// A seeded pause storm on leaf0-spine0 plus a muted XON on h1-leaf0, with
+// the storm breaker on, over the 4-cell leaf-spine:2x2.
+exp::FabricScenarioConfig storm_cfg(int shards) {
+  exp::FabricScenarioConfig cfg;
+  cfg.topology = "leaf-spine:2x2";
+  cfg.lossless = true;
+  cfg.storm_breaker = true;
+  cfg.fabric.buffer_bytes = 256 * sim::kKiB;
+  cfg.mapp_degree = 2.0;
+  cfg.shards = shards;
+  cfg.warmup = sim::Time::milliseconds(1);
+  cfg.measure = sim::Time::milliseconds(2);
+  EXPECT_FALSE(cfg.faults.add_spec("pause_storm@1500+400:0:leaf0-spine0").has_value());
+  EXPECT_FALSE(cfg.faults.add_spec("pfc_mute@1500+400:h1-leaf0").has_value());
+  return cfg;
+}
+
 // The deadlock and dangling-XOFF sweeps run mid-run from the engine's
 // boundary tick, so the storm is detected and broken at every worker count,
 // with the same bytes, and whether the run is one run() or 40 run_for()
 // slices that stop mid-epoch. The compared bytes include the fabric
 // checker's report, whose violation timestamps pin when each sweep ran.
 TEST(LosslessScenarioTest, SeededStormAndMuteAreDetectedAndSurvived) {
-  const auto storm_cfg = [](int shards) {
-    exp::FabricScenarioConfig cfg;
-    cfg.topology = "leaf-spine:2x2";
-    cfg.lossless = true;
-    cfg.storm_breaker = true;
-    cfg.fabric.buffer_bytes = 256 * sim::kKiB;
-    cfg.mapp_degree = 2.0;
-    cfg.shards = shards;
-    cfg.warmup = sim::Time::milliseconds(1);
-    cfg.measure = sim::Time::milliseconds(2);
-    EXPECT_FALSE(cfg.faults.add_spec("pause_storm@1500+400:0:leaf0-spine0").has_value());
-    EXPECT_FALSE(cfg.faults.add_spec("pfc_mute@1500+400:h1-leaf0").has_value());
-    return cfg;
-  };
   std::string at_one;
   for (const int shards : {1, 2, 4}) {
     exp::FabricScenario s(storm_cfg(shards));
@@ -515,6 +519,42 @@ TEST(LosslessScenarioTest, SeededStormAndMuteAreDetectedAndSurvived) {
     const std::string sliced = serialize_lossless(s.run_measure());
     EXPECT_EQ(sliced + "\n" + s.fabric_invariants()->report(), at_one)
         << warmup_slices + measure_slices << " run_for slices";
+  }
+}
+
+// The fabric invariant report covers every cell's checker: its violation
+// and check counts are the summed fabric/invariants/* metrics, not cell 0's
+// share. The storm run's deep sweeps land on cell 0, but every cell runs
+// its own periodic checks; the second run makes switches outside cell 0
+// drop (an XOFF threshold far above the shared pool, and an MApp on every
+// host under all-to-all load), so other cells count losslessness
+// violations too.
+TEST(LosslessScenarioTest, FabricReportMergesEveryCellsChecker) {
+  exp::FabricScenarioConfig overrun = storm_cfg(1);
+  overrun.traffic = exp::FabricTraffic::kAllToAll;
+  overrun.fabric.pfc_alpha = 64.0;
+  overrun.fabric.pfc_min_threshold = 4 * sim::kMiB;
+  overrun.congested_hosts = 4;
+  for (const exp::FabricScenarioConfig& cfg : {storm_cfg(1), overrun}) {
+    exp::FabricScenario s(cfg);
+    s.run();
+    ASSERT_GT(s.shard_plan().cells, 1);
+    std::uint64_t violations = 0, checks = 0;
+    for (const obs::MetricSample& m : s.metrics().snapshot(s.now()).samples) {
+      const auto v = static_cast<std::uint64_t>(m.value);
+      if (m.name == "fabric/invariants/violations") violations = v;
+      if (m.name == "fabric/invariants/checks") checks = v;
+    }
+    EXPECT_GT(violations, 0u);
+    EXPECT_GT(checks, s.fabric_invariants()->checks_run());
+    const std::string head = "fabric invariants: " + std::to_string(violations) +
+                             " violation(s) in " + std::to_string(checks) + " checks\n";
+    const std::string report = s.fabric_invariants_report();
+    EXPECT_EQ(report.substr(0, head.size()), head) << report;
+    if (cfg.traffic == exp::FabricTraffic::kAllToAll) {
+      EXPECT_GT(violations, s.fabric_invariants()->total_violations())
+          << "switches outside cell 0 should have dropped\n" << report;
+    }
   }
 }
 

@@ -7,8 +7,10 @@ Two modes, composable:
   write a compact per-benchmark summary to results/perf/BENCH_<n>.json
   (auto-numbered) or to --out. Each entry records items/sec (falling back
   to iterations/sec for benchmarks that don't call SetItemsProcessed) and
-  real time per iteration. The sequence of BENCH_<n>.json files is the
-  repo's performance trajectory.
+  real time per iteration. The context records the machine, the build
+  type and compiler of the build directory holding the binary (from its
+  CMakeCache.txt), and the git sha. The sequence of BENCH_<n>.json files
+  is the repo's performance trajectory.
 
   Gate (--check BASELINE.json): additionally compare the fresh run
   against a committed baseline and exit non-zero if any benchmark's
@@ -29,6 +31,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # The engine's fast hot-path microbenchmarks plus the end-to-end scenario
 # packet-throughput headline, plus the two observability-overhead benches
@@ -64,6 +68,36 @@ RATIO_GATES = [
     # >= 3x as many per second.
     ("BM_MemControllerIdleQuantum", "BM_MemControllerQuantum", 3.0),
 ]
+
+
+def build_context(bench):
+    """Build type and compiler of the CMake build directory holding `bench`."""
+    build_dir = next((d for d in bench.resolve().parents if (d / "CMakeCache.txt").is_file()), None)
+    if build_dir is None:
+        return {"build_type": None, "compiler": None}
+    cache = {}
+    for line in (build_dir / "CMakeCache.txt").read_text(errors="replace").splitlines():
+        if (m := re.fullmatch(r"(\w[^:]*):[A-Z]+=(.*)", line)):
+            cache[m.group(1)] = m.group(2)
+    compiler = cache.get("CMAKE_CXX_COMPILER")
+    # The compiler's id and version are recorded next to the cache, in
+    # CMakeFiles/<cmake version>/CMakeCXXCompiler.cmake.
+    for f in sorted(build_dir.glob("CMakeFiles/*/CMakeCXXCompiler.cmake")):
+        text = f.read_text(errors="replace")
+        cid = re.search(r'set\(CMAKE_CXX_COMPILER_ID "([^"]*)"\)', text)
+        ver = re.search(r'set\(CMAKE_CXX_COMPILER_VERSION "([^"]*)"\)', text)
+        if cid and ver:
+            compiler = f"{cid.group(1)} {ver.group(1)} ({compiler})"
+            break
+    # CMakeLists.txt builds RelWithDebInfo when no build type is given.
+    return {"build_type": cache.get("CMAKE_BUILD_TYPE") or "RelWithDebInfo", "compiler": compiler}
+
+
+def git_sha():
+    proc = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_bench(bench, bench_filter, repetitions):
@@ -106,6 +140,8 @@ def run_bench(bench, bench_filter, repetitions):
             "num_cpus": ctx.get("num_cpus"),
             "mhz_per_cpu": ctx.get("mhz_per_cpu"),
             "library_build_type": ctx.get("library_build_type"),
+            **build_context(bench),
+            "git_sha": git_sha(),
         },
         "benchmarks": benchmarks,
     }

@@ -98,7 +98,7 @@ namespace {
                "                      them to full HostModels on congestion\n"
                "  --promote-threshold N  auto mode: leaf delivery-port queue\n"
                "                      bytes that triggers promotion    [65536]\n"
-               "  --messages-per-flow N  hybrid modes: cap each closed-loop\n"
+               "  --messages-per-flow N  fabric mode: cap each closed-loop\n"
                "                      flow at N messages (0 = endless)    [0]\n"
                "  --signals           record and report I_S/B_S averages\n"
                "  --json              machine-readable output\n"
@@ -162,7 +162,7 @@ int run_fabric(exp::FabricScenarioConfig fcfg, bool json, const ExportPaths& pat
   exp::FabricScenario fs(std::move(fcfg));
   const exp::FabricScenarioResults r = fs.run();
   if (fs.fabric_invariants() != nullptr && r.invariant_violations > 0) {
-    std::fprintf(stderr, "%s", fs.fabric_invariants()->report().c_str());
+    std::fprintf(stderr, "%s", fs.fabric_invariants_report().c_str());
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall_start)
