@@ -590,7 +590,9 @@ void FabricScenario::build() {
     });
   }
   // The per-cell checkers and injectors export one set of metrics, under
-  // the names a single instance registers: sums, and the peak tree depth.
+  // the names a single instance registers. Checker metrics are sums over
+  // cells (checks = cells x periods) and the peak tree depth; injector
+  // metrics count each plan event once (FaultInjector::merged).
   if (!fabric_checkers_.empty()) {
     metrics_.counter_fn("fabric/invariants/checks", [this] {
       std::uint64_t n = 0;
@@ -624,26 +626,10 @@ void FabricScenario::build() {
     });
   }
   if (!injectors_.empty()) {
-    metrics_.counter_fn("faults/activations", [this] {
-      std::uint64_t n = 0;
-      for (auto& j : injectors_) n += j->activations();
-      return n;
-    });
-    metrics_.counter_fn("faults/deactivations", [this] {
-      std::uint64_t n = 0;
-      for (auto& j : injectors_) n += j->deactivations();
-      return n;
-    });
-    metrics_.counter_fn("faults/skipped", [this] {
-      std::uint64_t n = 0;
-      for (auto& j : injectors_) n += j->skipped();
-      return n;
-    });
-    metrics_.gauge("faults/active", [this] {
-      double n = 0.0;
-      for (auto& j : injectors_) n += j->active_count();
-      return n;
-    });
+    std::vector<const faults::FaultInjector*> cells;
+    for (auto& j : injectors_) cells.push_back(j.get());
+    faults::FaultInjector::register_counts(
+        metrics_, "faults", [cells] { return faults::FaultInjector::merged(cells); });
   }
 
   // Sampled fabric telemetry: groups registered switches-first then hosts,

@@ -231,9 +231,6 @@ class FabricScenario {
     return i < static_cast<int>(managers_.size()) ? managers_[i].get() : nullptr;
   }
   core::HostCcController* controller(int i = 0);
-  faults::FaultInjector* injector() {
-    return injectors_.empty() ? nullptr : injectors_.front().get();
-  }
   faults::FabricInvariantChecker* fabric_invariants() {
     return fabric_checkers_.empty() ? nullptr : fabric_checkers_.front().get();
   }

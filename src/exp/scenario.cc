@@ -9,6 +9,21 @@ namespace hostcc::exp {
 namespace {
 constexpr net::HostId kReceiverId = 0;
 
+// The paper testbed's switch (§2.2, §5.1): static per-port drop-tail at
+// 512 KiB, DCTCP marking at K = 80 KiB (the DCTCP paper's K ~= C*RTT/7 is
+// ~70 KB at 100 Gbps / 40 us, rounded up), and forwarding jitter, which
+// keeps closed-loop flows from phase-locking with queue-overflow episodes.
+fabric::FabricSwitchConfig star_switch_config(int ports) {
+  fabric::FabricSwitchConfig c;
+  c.port_buffer_bytes = 512 * sim::kKiB;
+  c.buffer_bytes = ports * c.port_buffer_bytes;  // every port's share: the ledger bound holds
+  c.ecn_threshold = 80 * sim::kKiB;
+  c.forward_latency = sim::Time::nanoseconds(600);
+  c.forward_jitter_max = sim::Time::microseconds(2);
+  c.seed = 0x5317c4;
+  return c;
+}
+
 host::HostConfig sender_host_config(const host::HostConfig& receiver_cfg) {
   host::HostConfig cfg = receiver_cfg;
   cfg.ddio_enabled = false;  // sender host is unloaded; datapath choice moot
@@ -76,7 +91,24 @@ void Scenario::build() {
     coalesced = std::string_view(mode) != "per_packet";
   }
 
-  fabric_ = std::make_unique<net::Switch>(sim_, cfg_.fabric);
+  // One switch port per host, added in HostId order so port i leads to
+  // host i. Coalesced drains fold the downlink propagation into the
+  // switch's delivery event; per-packet mode relays it as its own event.
+  fabric_ = std::make_unique<fabric::FabricSwitch>(sim_, "sw0",
+                                                   star_switch_config(cfg_.senders + 1));
+  const auto add_host_port = [this, coalesced](net::HostId id, host::HostModel* h) {
+    const sim::Time delay = cfg_.link_delay;
+    if (coalesced) {
+      fabric_->add_port(
+          h->name(), cfg_.link_rate, [h](const net::PacketRef& p) { h->receive_from_wire(p); },
+          delay);
+    } else {
+      fabric_->add_port(h->name(), cfg_.link_rate, [this, h, delay](const net::PacketRef& p) {
+        sim_.after(delay, [h, p] { h->receive_from_wire(p); });
+      });
+    }
+    fabric_->set_route(id, {static_cast<int>(id)});
+  };
 
   // Receiver host + stack + downlink.
   receiver_ = std::make_unique<host::HostModel>(sim_, cfg_.host, "receiver");
@@ -88,17 +120,7 @@ void Scenario::build() {
     up->set_on_dequeue([h = receiver_.get()](const net::Packet& p) { h->wire_dequeued(p); });
     receiver_->set_egress([lnk = up.get()](const net::PacketRef& p) { lnk->send(p); });
     links_.push_back(std::move(up));
-    const sim::Time delay = cfg_.link_delay;
-    if (coalesced) {
-      // Coalesced drain: the switch delivers directly at out + delay.
-      fabric_->connect(
-          kReceiverId, [this](const net::PacketRef& p) { receiver_->receive_from_wire(p); },
-          delay);
-    } else {
-      fabric_->connect(kReceiverId, [this, delay](const net::PacketRef& p) {
-        sim_.after(delay, [this, p] { receiver_->receive_from_wire(p); });
-      });
-    }
+    add_host_port(kReceiverId, receiver_.get());
   }
 
   // Sender hosts.
@@ -112,16 +134,7 @@ void Scenario::build() {
     up->set_sink([this](const net::PacketRef& p) { fabric_->ingress(p); });
     up->set_on_dequeue([hp = h.get()](const net::Packet& p) { hp->wire_dequeued(p); });
     h->set_egress([lnk = up.get()](const net::PacketRef& p) { lnk->send(p); });
-    const sim::Time delay = cfg_.link_delay;
-    host::HostModel* hp = h.get();
-    if (coalesced) {
-      fabric_->connect(
-          id, [hp](const net::PacketRef& p) { hp->receive_from_wire(p); }, delay);
-    } else {
-      fabric_->connect(id, [this, hp, delay](const net::PacketRef& p) {
-        sim_.after(delay, [hp, p] { hp->receive_from_wire(p); });
-      });
-    }
+    add_host_port(id, h.get());
     links_.push_back(std::move(up));
     sender_hosts_.push_back(std::move(h));
     sender_stacks_.push_back(std::move(stack));
@@ -290,8 +303,8 @@ void Scenario::mark_measurement_start() {
   base_nic_arrived_ = receiver_->nic().stats().arrived_pkts;
   base_nic_dropped_ = receiver_->nic().stats().dropped_pkts;
   base_switch_drops_ = fabric_->port_stats(kReceiverId).drops;
-  base_switch_total_drops_ = fabric_->total_stats().drops;
-  base_switch_total_marks_ = fabric_->total_stats().marks;
+  base_switch_total_drops_ = fabric_->totals().drops;
+  base_switch_total_marks_ = fabric_->totals().marks;
   receiver_->memctrl().checkpoint(now);
   mapp_->bandwidth_since_mark(now);
   for (auto& app : tput_apps_) app->goodput_since_mark(now);
@@ -356,7 +369,7 @@ ScenarioResults Scenario::run_measure() {
   if (controller_) {
     r.ecn_marked_pkts = controller_->echo().packets_marked() - base_echo_marks_;
   }
-  const net::Switch::TotalStats sw_total = fabric_->total_stats();
+  const fabric::FabricSwitch::Totals sw_total = fabric_->totals();
   r.switch_drops = sw_total.drops - base_switch_total_drops_;
   r.switch_marks = sw_total.marks - base_switch_total_marks_;
   r.switch_no_route_drops = sw_total.no_route_drops;

@@ -1,5 +1,6 @@
 // Scenario builder: assembles the paper's testbed topologies — N sender
-// hosts and one receiver host behind a single switch (§2.2, §5.1) — with
+// hosts and one receiver host behind a single switch (§2.2, §5.1; a
+// fabric::FabricSwitch in static per-port drop-tail mode) — with
 // NetApp-T long flows, optional NetApp-L RPCs (client on the congested
 // receiver, server across the fabric, so responses traverse the congested
 // datapath), an MApp on the receiver, and optionally hostCC. Used by every
@@ -14,6 +15,7 @@
 #include "apps/mem_app.h"
 #include "apps/rpc_app.h"
 #include "apps/throughput_app.h"
+#include "fabric/fabric_switch.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "faults/invariants.h"
@@ -22,7 +24,6 @@
 #include "hostcc/sender_response.h"
 #include "hostcc/signals.h"
 #include "net/link.h"
-#include "net/switch.h"
 #include "obs/decision_log.h"
 #include "obs/flow_stats.h"
 #include "obs/metrics.h"
@@ -37,9 +38,8 @@ namespace hostcc::exp {
 struct ScenarioConfig {
   host::HostConfig host;                  // receiver-host configuration
   transport::TransportConfig transport;   // MTU, CC choice, RTO/TLP
-  net::SwitchConfig fabric;
 
-  sim::Bandwidth link_rate = sim::Bandwidth::gbps(100.0);
+  sim::Bandwidth link_rate = sim::Bandwidth::gbps(100.0);  // uplinks and switch ports
   sim::Time link_delay = sim::Time::microseconds(6);
 
   int senders = 1;
@@ -174,9 +174,10 @@ class Scenario {
 
   const ScenarioConfig& config() const { return cfg_; }
 
-  // Uplink 0 is the receiver's, 1..N the senders'.
+  // Uplink 0 is the receiver's, 1..N the senders'; switch port i leads
+  // to host i (port index == HostId).
   net::Link& uplink(int i) { return *links_.at(i); }
-  net::Switch& fabric() { return *fabric_; }
+  fabric::FabricSwitch& fabric() { return *fabric_; }
 
   // Fault machinery (null when the plan is empty / the checker disabled).
   faults::FaultInjector* injector() { return injector_.get(); }
@@ -189,7 +190,7 @@ class Scenario {
   ScenarioConfig cfg_;
   sim::Simulator sim_;
 
-  std::unique_ptr<net::Switch> fabric_;
+  std::unique_ptr<fabric::FabricSwitch> fabric_;
   std::unique_ptr<host::HostModel> receiver_;
   std::vector<std::unique_ptr<host::HostModel>> sender_hosts_;
   std::vector<std::unique_ptr<net::Link>> links_;  // host -> switch uplinks

@@ -1,16 +1,21 @@
-// Shared-buffer fabric switch: the multi-switch upgrade of net::Switch.
+// Output-queued fabric switch: the one switch model, used by every fabric
+// topology and by the paper's single-star testbed (exp::Scenario).
 //
-// Differences from the single-star net::Switch:
-//   * One buffer pool shared by every output port, with dynamic-threshold
-//     (DT, Choudhury–Hahne) admission: a packet is admitted to port i iff
-//       q_i + size <= alpha * (B - occupancy)
-//     where occupancy is the switch-wide queued total. Hot ports can grab
-//     most of the buffer when the fabric is quiet, but the shrinking
-//     headroom caps them as total occupancy climbs — the behaviour that
-//     produces realistic incast drop rates (EXPERIMENTS.md deviation #6),
-//     which a per-port static buffer never shows.
-//   * Per-port ECN marking (DCTCP mark-on-enqueue at threshold K), same
-//     semantics as net::Switch.
+//   * Admission, one of two modes:
+//       - Dynamic threshold (DT, Choudhury–Hahne; port_buffer_bytes == 0):
+//         one buffer pool shared by every output port, and a packet is
+//         admitted to port i iff
+//           q_i + size <= alpha * (B - occupancy)
+//         where occupancy is the switch-wide queued total. Hot ports can
+//         grab most of the buffer when the fabric is quiet, but the
+//         shrinking headroom caps them as total occupancy climbs — the
+//         behaviour that produces realistic incast drop rates
+//         (EXPERIMENTS.md deviation #6).
+//       - Static per-port drop-tail (port_buffer_bytes > 0): drop iff
+//         q_i + size > port_buffer_bytes, independent of the other ports.
+//         The paper testbed's switch (§2.2, §5.1); DT cannot reproduce it,
+//         because a DT limit moves with other ports' occupancy.
+//   * Per-port ECN marking (DCTCP mark-on-enqueue at threshold K).
 //   * ECMP: routes_ maps each destination host to a sorted set of
 //     equal-cost egress ports; the pick hashes (flow ^ salt) with
 //     splitmix64, so one flow always takes one path (no reordering) while
@@ -20,7 +25,7 @@
 //   * Ports carry their own rate: egress serialization happens here (a
 //     switch-switch hop needs no separate net::Link). rate zero = ideal
 //     port (serialization-free) for unit testbeds. Propagation to the next
-//     hop rides extra_delay (coalesced drains) or a relay the Fabric wires
+//     hop rides extra_delay (coalesced drains) or a relay the owner wires
 //     (per-packet mode) — identical delivery times either way.
 //
 // Ledger (audited by faults::FabricInvariantChecker): every admitted byte
@@ -28,10 +33,10 @@
 //   admitted_bytes == drained_bytes + occupancy,
 //   occupancy == sum(port q_bytes),  0 <= occupancy <= buffer_bytes.
 //
-// Fault surface (FaultInjector, addressed by topology edge name via
-// Fabric): per-port down (queue drop-tails under DT) and per-port rate
-// degradation; in lossless mode, per-port forced pause (pause_storm) and
-// XON muting (pfc_mute).
+// Fault surface (FaultInjector, by topology edge name via Fabric, or by
+// port index on the single-star testbed): per-port down (the queue
+// drop-tails) and per-port rate degradation; in lossless mode, per-port
+// forced pause (pause_storm) and XON muting (pfc_mute).
 //
 // Lossless mode (cfg.pfc_enabled): per-priority PFC on top of the shared
 // buffer. Each upstream neighbor registers an *ingress* (add_ingress) with
@@ -73,6 +78,10 @@ struct FabricSwitchConfig {
   // DT alpha: per-port threshold = alpha * remaining headroom. 1.0 lets a
   // single hot port take half the buffer at equilibrium (T = B - T).
   double dt_alpha = 1.0;
+  // > 0: static per-port drop-tail at this many bytes instead of DT (the
+  // single-star paper testbed). buffer_bytes must still cover every port's
+  // share, or the ledger bound occupancy <= buffer_bytes breaks.
+  sim::Bytes port_buffer_bytes = 0;
   sim::Bytes ecn_threshold = 80 * sim::kKiB;  // per-port DCTCP K
   sim::Time forward_latency = sim::Time::nanoseconds(600);
   // Per-packet pipeline jitter, uniform [0, max]; zero disables the RNG
@@ -164,8 +173,8 @@ class FabricSwitch {
   }
 
   // Packet arriving on input `in_idx` (-1 = unregistered ingress, e.g. a
-  // direct-attached testbed host): route, admit (DT, or lossless when PFC
-  // is on), mark, enqueue.
+  // direct-attached testbed host): route, admit (see admits), mark,
+  // enqueue.
   void ingress(net::PacketRef p, int in_idx) {
     obs::ProfScope scope(prof_);
     const int pi = route(p->dst, p->flow);
@@ -182,28 +191,10 @@ class FabricSwitch {
     }
     Port& port = ports_[pi];
 
-    if (cfg_.pfc_enabled) {
-      // Lossless admission: the DT drop path is replaced by backpressure.
-      // Physical capacity is the shared pool plus the headroom annex; an
-      // overflow beyond it means the headroom was undersized (the
-      // losslessness invariant reports it as a violation).
-      if (occupancy_ + p->size > capacity_bytes()) {
-        ++port.drops;
-        dropped_bytes_ += p->size;
-        return;
-      }
-    } else {
-      // DT admission against the shared pool: the per-port allowance
-      // shrinks as switch-wide occupancy grows. The absolute pool cap also
-      // binds (alpha > 1 must never oversubscribe physical buffer).
-      const sim::Bytes headroom = cfg_.buffer_bytes - occupancy_;
-      const sim::Bytes dt_limit =
-          static_cast<sim::Bytes>(cfg_.dt_alpha * static_cast<double>(headroom));
-      if (port.q_bytes + p->size > dt_limit || occupancy_ + p->size > cfg_.buffer_bytes) {
-        ++port.drops;
-        dropped_bytes_ += p->size;
-        return;
-      }
+    if (!admits(port, p->size)) {
+      ++port.drops;
+      dropped_bytes_ += p->size;
+      return;
     }
     if (port.q_bytes >= cfg_.ecn_threshold && p->ecn == net::Ecn::kEct0) {
       p->ecn = net::Ecn::kCe;
@@ -488,6 +479,26 @@ class FabricSwitch {
 
   std::string pause_key(const Port& port, int prio) const {
     return name_ + ":" + port.name + "/p" + std::to_string(prio);
+  }
+
+  // Admission: lossless (PFC on), static per-port drop-tail
+  // (port_buffer_bytes > 0), or DT against the shared pool.
+  bool admits(const Port& port, sim::Bytes size) const {
+    if (cfg_.pfc_enabled) {
+      // Lossless admission: the DT drop path is replaced by backpressure.
+      // Physical capacity is the shared pool plus the headroom annex; an
+      // overflow beyond it means the headroom was undersized (the
+      // losslessness invariant reports it as a violation).
+      return occupancy_ + size <= capacity_bytes();
+    }
+    if (cfg_.port_buffer_bytes > 0) return port.q_bytes + size <= cfg_.port_buffer_bytes;
+    // DT admission against the shared pool: the per-port allowance
+    // shrinks as switch-wide occupancy grows. The absolute pool cap also
+    // binds (alpha > 1 must never oversubscribe physical buffer).
+    const sim::Bytes headroom = cfg_.buffer_bytes - occupancy_;
+    const sim::Bytes dt_limit =
+        static_cast<sim::Bytes>(cfg_.dt_alpha * static_cast<double>(headroom));
+    return port.q_bytes + size <= dt_limit && occupancy_ + size <= cfg_.buffer_bytes;
   }
 
   // Current XOFF threshold: DT-style fraction of the free shared pool with

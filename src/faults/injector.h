@@ -1,10 +1,10 @@
 // FaultInjector: replays a FaultPlan against the live simulation. The
 // injector is pure orchestration — every failure mode is implemented by
 // the owning component's fault hooks (MsrBank::fault_*, MbaThrottle::
-// fault_write_*, Link::set_down/set_rate_factor, Switch::set_port_down,
-// SignalSampler::preempt_for); the injector only schedules when each hook
-// turns on and off. All scheduling happens through the simulator, so fault
-// runs are as deterministic as fault-free ones.
+// fault_write_*, Link::set_down/set_rate_factor, FabricSwitch::
+// set_port_down, SignalSampler::preempt_for); the injector only schedules
+// when each hook turns on and off. All scheduling happens through the
+// simulator, so fault runs are as deterministic as fault-free ones.
 //
 // Overlapping windows of the same (kind, target) nest: the fault stays
 // active until every window covering the current instant has ended, and
@@ -12,18 +12,20 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
+#include "fabric/fabric_switch.h"
 #include "faults/fault_plan.h"
 #include "host/mba.h"
 #include "host/msr.h"
 #include "hostcc/signals.h"
 #include "net/link.h"
-#include "net/switch.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -44,7 +46,8 @@ class FaultInjector {
   void attach_msrs(host::MsrBank& msrs) { msrs_ = &msrs; }
   void attach_mba(host::MbaThrottle& mba) { mba_ = &mba; }
   void attach_link(int index, net::Link& link) { links_[index] = &link; }
-  void attach_switch(net::Switch& sw) { switch_ = &sw; }
+  // Single-switch testbeds: numeric port_down targets are port indices.
+  void attach_switch(fabric::FabricSwitch& sw) { switch_ = &sw; }
   void attach_sampler(core::SignalSampler& sampler) { sampler_ = &sampler; }
   // Multi-switch topologies: link/port faults with a `target_edge` resolve
   // through the fabric's edge-name surface.
@@ -63,31 +66,70 @@ class FaultInjector {
 
   // Schedules every event in the plan. Call once, before Simulator::run.
   void arm() {
-    for (const FaultEvent& ev : plan_.events) {
-      sim_.at(ev.start, [this, ev] { activate(ev); });
+    outcomes_.assign(plan_.events.size(), Outcome{});
+    for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+      const FaultEvent& ev = plan_.events[i];
+      sim_.at(ev.start, [this, i] { activate(i); });
       // duration 0 = until the end of the run: no deactivation event.
       if (ev.duration > sim::Time::zero()) {
-        sim_.at(ev.end(), [this, ev] { deactivate(ev); });
+        sim_.at(ev.end(), [this, i] { deactivate(i); });
       }
     }
   }
 
-  std::uint64_t activations() const { return activations_; }
-  std::uint64_t deactivations() const { return deactivations_; }
-  std::uint64_t skipped() const { return skipped_; }
-  // Distinct (kind, target) faults currently in force.
-  double active_count() const {
-    double n = 0.0;
-    for (const auto& [key, count] : active_) n += count > 0 ? 1.0 : 0.0;
-    for (const auto& [key, count] : active_named_) n += count > 0 ? 1.0 : 0.0;
-    return n;
+  struct Counts {
+    std::uint64_t activations = 0;    // plan events some target took
+    std::uint64_t deactivations = 0;  // plan events whose end cleared a fault
+    std::uint64_t skipped = 0;        // plan events that fired with no target
+    double active = 0.0;              // distinct (kind, target) faults in force
+  };
+  // Counts over injectors replaying one plan (one per cell of a sharded
+  // run, each seeing every event): a plan event counts once — applied if
+  // any injector applied it, skipped only if it fired and none did.
+  static Counts merged(const std::vector<const FaultInjector*>& injectors) {
+    Counts c;
+    if (injectors.empty()) return c;
+    std::set<std::pair<FaultKind, int>> active;
+    std::set<std::pair<FaultKind, std::string>> active_named;
+    for (const FaultInjector* j : injectors) {
+      for (const auto& [key, n] : j->active_) {
+        if (n > 0) active.insert(key);
+      }
+      for (const auto& [key, n] : j->active_named_) {
+        if (n > 0) active_named.insert(key);
+      }
+    }
+    c.active = static_cast<double>(active.size() + active_named.size());
+    for (std::size_t i = 0; i < injectors.front()->outcomes_.size(); ++i) {
+      Outcome any;
+      for (const FaultInjector* j : injectors) {
+        const Outcome& o = j->outcomes_[i];
+        any.fired = any.fired || o.fired;
+        any.applied = any.applied || o.applied;
+        any.cleared = any.cleared || o.cleared;
+      }
+      c.activations += any.applied ? 1 : 0;
+      c.deactivations += any.cleared ? 1 : 0;
+      c.skipped += any.fired && !any.applied ? 1 : 0;
+    }
+    return c;
   }
+  Counts counts() const { return merged({this}); }
+  std::uint64_t activations() const { return counts().activations; }
+  std::uint64_t deactivations() const { return counts().deactivations; }
+  std::uint64_t skipped() const { return counts().skipped; }
 
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-    reg.counter_fn(prefix + "/activations", [this] { return activations_; });
-    reg.counter_fn(prefix + "/deactivations", [this] { return deactivations_; });
-    reg.counter_fn(prefix + "/skipped", [this] { return skipped_; });
-    reg.gauge(prefix + "/active", [this] { return active_count(); });
+    register_counts(reg, prefix, [this] { return counts(); });
+  }
+  // The same metric set over any Counts source (e.g. merged per-cell
+  // injectors).
+  static void register_counts(obs::MetricsRegistry& reg, const std::string& prefix,
+                              std::function<Counts()> fn) {
+    reg.counter_fn(prefix + "/activations", [fn] { return fn().activations; });
+    reg.counter_fn(prefix + "/deactivations", [fn] { return fn().deactivations; });
+    reg.counter_fn(prefix + "/skipped", [fn] { return fn().skipped; });
+    reg.gauge(prefix + "/active", [fn] { return fn().active; });
   }
 
  private:
@@ -103,42 +145,40 @@ class FaultInjector {
   }
   static int default_target(FaultKind k) {
     // link faults default to uplink 1 (the first sender); port faults to
-    // the receiver's output port (host 0).
+    // port 0 (the single-star receiver's output port).
     return k == FaultKind::kLinkDown || k == FaultKind::kLinkDegrade ? 1 : 0;
   }
 
-  void activate(const FaultEvent& ev) {
+  void activate(std::size_t i) {
+    const FaultEvent& ev = plan_.events[i];
+    Outcome& out = outcomes_[i];
+    out.fired = true;
     const double param = ev.param > 0.0 ? ev.param : default_param(ev.kind);
     if (!ev.target_edge.empty()) {
-      if (!apply_edge(ev, param, /*on=*/true)) {
-        ++skipped_;
-        return;
-      }
+      if (!apply_edge(ev, param, /*on=*/true)) return;
       ++active_named_[{ev.kind, ev.target_edge}];
-      ++activations_;
+      out.applied = true;
       OBS_LOG(obs::LogLevel::kWarn, sim_.now(), "faults", "inject %s param=%.3f edge=%s",
               fault_kind_name(ev.kind), param, ev.target_edge.c_str());
       return;
     }
     const int target = ev.target >= 0 ? ev.target : default_target(ev.kind);
-    if (!apply(ev, param, target, /*on=*/true)) {
-      ++skipped_;
-      return;
-    }
+    if (!apply(ev, param, target, /*on=*/true)) return;
     ++active_[{ev.kind, target}];
-    ++activations_;
+    out.applied = true;
     OBS_LOG(obs::LogLevel::kWarn, sim_.now(), "faults", "inject %s param=%.3f target=%d",
             fault_kind_name(ev.kind), param, target);
   }
 
-  void deactivate(const FaultEvent& ev) {
+  void deactivate(std::size_t i) {
+    const FaultEvent& ev = plan_.events[i];
     const double param = ev.param > 0.0 ? ev.param : default_param(ev.kind);
     if (!ev.target_edge.empty()) {
       auto it = active_named_.find({ev.kind, ev.target_edge});
       if (it == active_named_.end() || it->second == 0) return;  // was skipped
       if (--it->second > 0) return;  // an overlapping window is still open
       if (!apply_edge(ev, param, /*on=*/false)) return;
-      ++deactivations_;
+      outcomes_[i].cleared = true;
       OBS_LOG(obs::LogLevel::kInfo, sim_.now(), "faults", "clear %s edge=%s",
               fault_kind_name(ev.kind), ev.target_edge.c_str());
       return;
@@ -148,7 +188,7 @@ class FaultInjector {
     if (it == active_.end() || it->second == 0) return;  // was skipped
     if (--it->second > 0) return;  // an overlapping window is still open
     if (!apply(ev, param, target, /*on=*/false)) return;
-    ++deactivations_;
+    outcomes_[i].cleared = true;
     OBS_LOG(obs::LogLevel::kInfo, sim_.now(), "faults", "clear %s target=%d",
             fault_kind_name(ev.kind), target);
   }
@@ -212,7 +252,7 @@ class FaultInjector {
       }
       case FaultKind::kPortDown:
         if (!switch_) return false;
-        switch_->set_port_down(static_cast<net::HostId>(target), on);
+        switch_->set_port_down(target, on);
         return true;
       case FaultKind::kPauseStorm:
       case FaultKind::kPfcMute:
@@ -236,15 +276,20 @@ class FaultInjector {
   host::MsrBank* msrs_ = nullptr;
   host::MbaThrottle* mba_ = nullptr;
   std::map<int, net::Link*> links_;
-  net::Switch* switch_ = nullptr;
+  fabric::FabricSwitch* switch_ = nullptr;
   core::SignalSampler* sampler_ = nullptr;
   fabric::Fabric* fabric_ = nullptr;
   int edge_cell_ = -1;  // -1 = whole fabric
+  // What happened to one plan event on this injector.
+  struct Outcome {
+    bool fired = false;    // its start time was reached
+    bool applied = false;  // a target took the fault (else it was skipped)
+    bool cleared = false;  // its window's end turned the fault off
+  };
+
   std::map<std::pair<FaultKind, int>, int> active_;
   std::map<std::pair<FaultKind, std::string>, int> active_named_;
-  std::uint64_t activations_ = 0;
-  std::uint64_t deactivations_ = 0;
-  std::uint64_t skipped_ = 0;
+  std::vector<Outcome> outcomes_;  // parallel to plan_.events
 };
 
 }  // namespace hostcc::faults

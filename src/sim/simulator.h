@@ -49,8 +49,10 @@ class Simulator {
   // Schedules `fn` after a relative delay.
   EventHandle after(Time delay, EventFn fn) { return at(now_ + delay, std::move(fn)); }
 
-  // Runs events until the queue is empty or the clock would pass `deadline`.
-  // The clock is left at min(deadline, time of last event).
+  // Runs events until the queue is empty or the clock would pass `deadline`,
+  // then advances the clock to `deadline` — except for run()'s unbounded
+  // deadline, which leaves it at the last executed event so a later after()
+  // cannot overflow Time.
   void run_until(Time deadline) {
     for (;;) {
       const Time qt = queue_.next_time();  // Time::max() when empty
@@ -77,7 +79,7 @@ class Simulator {
         break;
       }
     }
-    if (now_ < deadline) now_ = deadline;
+    if (now_ < deadline && deadline != Time::max()) now_ = deadline;
   }
 
   // Runs until no events remain.

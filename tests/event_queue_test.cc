@@ -205,6 +205,21 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(SimulatorTest, RunLeavesClockAtLastEventAndCanResume) {
+  Simulator sim;
+  sim.run();  // nothing scheduled: the clock does not move
+  EXPECT_EQ(sim.now(), Time::zero());
+  sim.after(Time::microseconds(3), [] {});
+  sim.run();
+  EXPECT_EQ(sim.now(), Time::microseconds(3));
+  // A later after() lands relative to the last event, not Time::max().
+  Time fired_at;
+  sim.after(Time::microseconds(2), [&] { fired_at = sim.now(); });
+  sim.run();
+  EXPECT_EQ(fired_at, Time::microseconds(5));
+  EXPECT_EQ(sim.now(), Time::microseconds(5));
+}
+
 TEST(SimulatorTest, EventsCanScheduleEvents) {
   Simulator sim;
   int depth = 0;

@@ -1,10 +1,13 @@
 // Multi-switch fabric subsystem: topology grammar + validation, ECMP
-// flow affinity, shared-buffer DT admission, edge-name faults, and
-// rack-scale FabricScenario determinism (byte-identical fixed-seed runs
-// in both drain modes, with and without faults).
+// flow affinity, shared-buffer DT and static per-port admission, the
+// single-star switch's forwarding (routing, ECN, drop-tail, port rate,
+// no-route drops), edge-name faults, and rack-scale FabricScenario
+// determinism (byte-identical fixed-seed runs in both drain modes, with
+// and without faults).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -217,6 +220,143 @@ TEST(DtAdmissionTest, EcnMarksAtThreshold) {
   EXPECT_EQ(sw.totals().marks, 10u);
 }
 
+// Static per-port mode (port_buffer_bytes > 0, the paper testbed's
+// switch): a port's limit ignores the other ports' occupancy.
+TEST(DtAdmissionTest, StaticPerPortModeAdmitsFullPortBufferBesideAFullPort) {
+  const auto fill = [](FabricSwitchConfig cfg) {
+    sim::Simulator sim;
+    cfg.ecn_threshold = cfg.buffer_bytes;  // marking off for this test
+    cfg.forward_jitter_max = sim::Time::zero();
+    FabricSwitch sw(sim, "sw", cfg);
+    for (net::HostId h = 0; h < 2; ++h) {
+      const int port = sw.add_port("down" + std::to_string(h), sim::Bandwidth::zero(),
+                                   [](const net::PacketRef&) {});
+      sw.set_route(h, {port});
+      sw.set_port_down(port, true);
+    }
+    net::Packet p;
+    p.size = 1000;
+    p.dst = 1;  // fill port 1 first
+    for (int i = 0; i < 200; ++i) sw.ingress(p);
+    p.dst = 0;
+    for (int i = 0; i < 200; ++i) sw.ingress(p);
+    const sim::Bytes q0 = sw.port_stats(0).queue_bytes;
+    EXPECT_EQ(sw.drained_bytes() + static_cast<std::uint64_t>(sw.occupancy()),
+              sw.admitted_bytes());
+    // Draining port 0 keeps the ledger exact.
+    sw.set_port_down(0, false);
+    sim.run();
+    EXPECT_EQ(sw.drained_bytes(), static_cast<std::uint64_t>(q0));
+    EXPECT_EQ(sw.drained_bytes() + static_cast<std::uint64_t>(sw.occupancy()),
+              sw.admitted_bytes());
+    EXPECT_EQ(sw.queued_bytes_across_ports(), sw.occupancy());
+    EXPECT_LE(sw.occupancy(), cfg.buffer_bytes);
+    return q0;
+  };
+
+  FabricSwitchConfig stat;
+  stat.port_buffer_bytes = 100 * 1000;
+  stat.buffer_bytes = 2 * stat.port_buffer_bytes;
+  EXPECT_EQ(fill(stat), stat.port_buffer_bytes);
+
+  // The same pool under DT: port 1 holds B/2, so port 0 caps at B/4.
+  FabricSwitchConfig dt = stat;
+  dt.port_buffer_bytes = 0;
+  EXPECT_EQ(fill(dt), dt.buffer_bytes / 4);
+}
+
+// --- FabricSwitch as the single-star testbed's switch (static per-port) ---
+
+net::Packet star_pkt(net::HostId dst, sim::Bytes size, net::Ecn ecn = net::Ecn::kEct0) {
+  net::Packet p;
+  p.dst = dst;
+  p.size = size;
+  p.payload = size - net::kHeaderBytes;
+  p.ecn = ecn;
+  return p;
+}
+
+FabricSwitchConfig star_cfg(sim::Bytes port_buffer = 512 * sim::kKiB) {
+  FabricSwitchConfig cfg;
+  cfg.port_buffer_bytes = port_buffer;
+  cfg.buffer_bytes = 4 * port_buffer;
+  return cfg;
+}
+
+TEST(StarSwitchTest, RoutesByDestination) {
+  sim::Simulator sim;
+  FabricSwitch sw(sim, "sw0", star_cfg());
+  int to_a = 0, to_b = 0;
+  sw.set_route(1, {sw.add_port("a", sim::Bandwidth::gbps(100.0),
+                               [&](const net::PacketRef&) { ++to_a; })});
+  sw.set_route(2, {sw.add_port("b", sim::Bandwidth::gbps(100.0),
+                               [&](const net::PacketRef&) { ++to_b; })});
+  sw.ingress(star_pkt(1, 1000));
+  sw.ingress(star_pkt(2, 1000));
+  sw.ingress(star_pkt(2, 1000));
+  sim.run();
+  EXPECT_EQ(to_a, 1);
+  EXPECT_EQ(to_b, 2);
+}
+
+TEST(StarSwitchTest, MarksOnlyEct0AboveThreshold) {
+  sim::Simulator sim;
+  FabricSwitchConfig cfg = star_cfg();
+  cfg.ecn_threshold = 8 * 1024;
+  FabricSwitch sw(sim, "sw0", cfg);
+  int ce = 0, total = 0;
+  sw.set_route(1, {sw.add_port("a", sim::Bandwidth::gbps(100.0), [&](const net::PacketRef& p) {
+                 ++total;
+                 if (p->ecn == net::Ecn::kCe) ++ce;
+               })});
+  // Burst of 10 ECT0 packets: the queue reaches K after the first two.
+  for (int i = 0; i < 10; ++i) sw.ingress(star_pkt(1, 4096));
+  // Non-ECT traffic above K is never marked.
+  for (int i = 0; i < 5; ++i) sw.ingress(star_pkt(1, 4096, net::Ecn::kNotEct));
+  sim.run();
+  EXPECT_EQ(total, 15);
+  EXPECT_GT(ce, 5);
+  EXPECT_LT(ce, 10);  // the first packets escape unmarked
+  EXPECT_EQ(sw.totals().marks, static_cast<std::uint64_t>(ce));
+}
+
+TEST(StarSwitchTest, DropsWhenPortBufferFull) {
+  sim::Simulator sim;
+  FabricSwitch sw(sim, "sw0", star_cfg(10 * 1024));
+  int delivered = 0;
+  const int port = sw.add_port("a", sim::Bandwidth::gbps(100.0),
+                               [&](const net::PacketRef&) { ++delivered; });
+  sw.set_route(1, {port});
+  for (int i = 0; i < 20; ++i) sw.ingress(star_pkt(1, 4096));
+  sim.run();
+  const auto stats = sw.port_stats(port);
+  EXPECT_GT(stats.drops, 0u);
+  EXPECT_EQ(delivered + static_cast<int>(stats.drops), 20);
+}
+
+TEST(StarSwitchTest, PortRateLimitsThroughput) {
+  sim::Simulator sim;
+  FabricSwitch sw(sim, "sw0", star_cfg(1024 * 1024));
+  sim::Time last;
+  sw.set_route(1, {sw.add_port("a", sim::Bandwidth::gbps(10.0),
+                               [&](const net::PacketRef&) { last = sim.now(); })});
+  for (int i = 0; i < 10; ++i) sw.ingress(star_pkt(1, 4096));
+  sim.run();
+  // 10 packets x 4096B at 10Gbps = 32.768us serialization minimum.
+  EXPECT_GT(last.us(), 32.0);
+}
+
+TEST(StarSwitchTest, UnknownDestinationIsCountedNotCrashed) {
+  sim::Simulator sim;
+  FabricSwitch sw(sim, "sw0", star_cfg());
+  sw.set_route(1, {sw.add_port("a", sim::Bandwidth::gbps(100.0), [](const net::PacketRef&) {})});
+  sw.ingress(star_pkt(99, 1000));
+  sim.run();
+  EXPECT_EQ(sw.no_route_drops(), 1u);
+  EXPECT_EQ(sw.totals().drops, 0u);
+  EXPECT_EQ(sw.admitted_bytes(), 0u);
+}
+
 // --- fabric wiring: edge-name faults ---
 
 TEST(FabricEdgeFaultTest, EdgeNamesResolveAndUnknownOnesDoNot) {
@@ -359,6 +499,28 @@ TEST(FabricDeterminismTest, DrainModesAgreeOnDeliveredTraffic) {
 }
 
 // --- incast drop band (EXPERIMENTS.md deviation #6) ---
+
+// Every cell's injector replays the whole plan, yet the exported fault
+// metrics count each plan event once: applied if any cell applied it,
+// skipped only if none did.
+TEST(FabricScenarioTest, FaultMetricsCountEachPlanEventOnceAcrossCells) {
+  exp::FabricScenarioConfig cfg = mini_fabric_config(true);
+  for (const char* spec : {"link_down@1200+300:leaf0-spine0",       // switch-switch edge
+                           "link_degrade@1300+300:0.5:h1-leaf0",    // host uplink edge
+                           "msr_stall@1400+300:50",                 // host 0's MSRs, one cell
+                           "link_down@1500+300:9"}) {               // no uplink 9
+    ASSERT_FALSE(cfg.faults.add_spec(spec).has_value()) << spec;
+  }
+  exp::FabricScenario s(cfg);
+  ASSERT_GT(s.fabric().switch_count(), 1);
+  s.run();
+  std::map<std::string, double> m;
+  for (const obs::MetricSample& x : s.metrics().snapshot(s.now()).samples) m[x.name] = x.value;
+  EXPECT_EQ(m.at("faults/activations"), 3.0);
+  EXPECT_EQ(m.at("faults/deactivations"), 3.0);
+  EXPECT_EQ(m.at("faults/skipped"), 1.0);
+  EXPECT_EQ(m.at("faults/active"), 0.0);
+}
 
 TEST(FabricScenarioTest, ShallowBufferIncastDropsLandInPaperBand) {
   exp::FabricScenarioConfig cfg;

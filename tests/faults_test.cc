@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "exp/scenario.h"
+#include "fabric/fabric_switch.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "faults/invariants.h"
 #include "net/link.h"
-#include "net/switch.h"
 #include "sim/simulator.h"
 
 namespace hostcc {
@@ -137,14 +137,17 @@ TEST(LinkFaultTest, CarrierLossQueuesFramesWithoutLoss) {
   EXPECT_EQ(link.flaps(), 1u);
 }
 
-TEST(SwitchFaultTest, PortDownDropTailsThenResumes) {
+TEST(FabricSwitchFaultTest, PortDownDropTailsThenResumes) {
   sim::Simulator sim;
-  net::SwitchConfig cfg;
-  cfg.port_buffer = 15 * 1500;  // 15 frames, then drop-tail
-  net::Switch sw(sim, cfg);
+  fabric::FabricSwitchConfig cfg;
+  cfg.port_buffer_bytes = 15 * 1500;  // static per-port: 15 frames, then drop-tail
+  cfg.buffer_bytes = cfg.port_buffer_bytes;
+  fabric::FabricSwitch sw(sim, "sw0", cfg);
   int delivered = 0;
-  sw.connect(0, [&](const net::Packet&) { ++delivered; });
-  sw.set_port_down(0, true);
+  const int port = sw.add_port("receiver", sim::Bandwidth::gbps(100),
+                               [&](const net::PacketRef&) { ++delivered; });
+  sw.set_route(0, {port});
+  sw.set_port_down(port, true);
   for (int i = 0; i < 20; ++i) {
     net::Packet p;
     p.dst = 0;
@@ -153,8 +156,8 @@ TEST(SwitchFaultTest, PortDownDropTailsThenResumes) {
   }
   sim.run_until(sim::Time::microseconds(50));
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(sw.port_stats(0).drops, 5u);
-  sw.set_port_down(0, false);
+  EXPECT_EQ(sw.port_stats(port).drops, 5u);
+  sw.set_port_down(port, false);
   sim.run_until(sim::Time::microseconds(100));
   EXPECT_EQ(delivered, 15);
 }
