@@ -4,15 +4,15 @@
 // response; this sweep quantifies what faster (hypothetical) actuation
 // hardware would buy, and what slower actuation would cost.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Ablation: MBA actuation latency (3x congestion, hostCC on) ===\n\n");
 

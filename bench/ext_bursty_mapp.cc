@@ -7,9 +7,9 @@
 // purely RTT-granularity control (the ECN echo alone) degrades as the
 // burst period shrinks below the RTT.
 #include <cstdio>
-#include <string>
 
 #include "apps/bursty_mapp.h"
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
@@ -37,7 +37,7 @@ exp::ScenarioResults run_case(double period_us, bool local_response, bool quick)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Extension: bursty host-local traffic (1x<->3x, RTT ~36us) ===\n\n");
 

@@ -11,15 +11,15 @@
 //  - hostCC's host-local response benefits all three; the ECN echo
 //    accelerates only ECN-capable DCTCP.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Extension: hostCC with ECN-, loss-, and delay-based CC (3x) ===\n\n");
 

@@ -8,15 +8,15 @@
 // the host-local response has no host-local traffic to throttle, which is
 // exactly why §6 calls for additional signals/actuators for this case.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Extension: IOMMU-induced host congestion (no MApp) ===\n\n");
 

@@ -4,15 +4,15 @@
 // Paper: throughput 100 -> ~43Gbps at 3x (DDIO off), drops up to ~0.3%,
 // MApp acquiring an increasing share of memory bandwidth.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Figure 2: impact of host congestion on network traffic ===\n");
   std::printf("Setup: NetApp-T (4 DCTCP flows, 100Gbps) + MApp sweep at the receiver.\n\n");

@@ -4,12 +4,14 @@
 // claims for MSR-based signal collection.
 #include <cstdio>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
-int main() {
+int main(int argc, char** argv) {
+  exp::parse_bench_opts_or_die(argc, argv);  // no options; rejects typos
   std::printf("=== Figure 7: host-signal measurement latency CDF ===\n\n");
 
   exp::Table t({"percentile", "IS_idle_us", "IS_3x_us", "BS_idle_us", "BS_3x_us"});

@@ -4,15 +4,15 @@
 // and I_S ~65 (IIO-DRAM bandwidth-delay product); at 3x — I_S climbs to
 // its ~93-line maximum (the PCIe credit limit) and B_S collapses.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  const bool csv = exp::parse_bench_opts_or_die(argc, argv, {"--csv"}).csv;
 
   std::printf("=== Figure 8: I_S and B_S over 1ms, without/with 3x host congestion ===\n\n");
 

@@ -6,13 +6,14 @@
 #include <cstdio>
 #include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Figure 10: hostCC benefits (DDIO off, B_T=80Gbps, I_T=70) ===\n\n");
 

@@ -6,13 +6,14 @@
 #include <string>
 #include <vector>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
   const std::vector<sim::Bytes> sizes = {128, 512, 2048, 8192, 32768};
 
   std::printf("=== Figure 12: hostCC tail-latency benefits (3x, DDIO off) ===\n\n");

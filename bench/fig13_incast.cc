@@ -8,13 +8,14 @@
 #include <cstdio>
 #include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Figure 13: incast (network congestion), +/- host congestion ===\n\n");
 

@@ -23,12 +23,12 @@
 // Every run audits each switch's shared-buffer ledger; a violation fails
 // the binary.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/cli.h"
 #include "exp/fabric_scenario.h"
 #include "exp/table.h"
 
@@ -36,15 +36,7 @@ using namespace hostcc;
 
 namespace {
 
-struct Options {
-  bool quick = false;
-  bool json = false;
-  int shards = 1;  // worker threads, >= 1 (same bytes for every N)
-  std::string telemetry_dir;
-  bool obs() const { return json || !telemetry_dir.empty(); }
-};
-
-exp::FabricScenarioConfig base_cfg(const Options& opt) {
+exp::FabricScenarioConfig base_cfg(const exp::BenchOpts& opt) {
   exp::FabricScenarioConfig cfg;
   cfg.topology = "leaf-spine:4x4";  // 16 hosts, 4 leaves + 2 spines
   cfg.flows_per_pair = 4;
@@ -53,7 +45,7 @@ exp::FabricScenarioConfig base_cfg(const Options& opt) {
   cfg.shards = opt.shards;
   cfg.warmup = sim::Time::milliseconds(opt.quick ? 2 : 5);
   cfg.measure = sim::Time::milliseconds(opt.quick ? 3 : 10);
-  if (opt.obs()) {
+  if (opt.json || !opt.telemetry_dir.empty()) {  // both report per-flow FCTs
     cfg.record_flow_stats = true;
     cfg.flow_bytes = 64 * sim::kKiB;  // closed-loop messages -> real FCTs
     cfg.telemetry = !opt.telemetry_dir.empty();
@@ -114,23 +106,8 @@ std::string result_json(exp::FabricScenario& s, const exp::FabricScenarioResults
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--json") {
-      opt.json = true;
-    } else if (a == "--telemetry" && i + 1 < argc) {
-      opt.telemetry_dir = argv[++i];
-    } else if (a == "--shards" && i + 1 < argc && std::atoi(argv[i + 1]) >= 1) {
-      opt.shards = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N>=1] [--telemetry DIR]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const exp::BenchOpts opt =
+      exp::parse_bench_opts_or_die(argc, argv, {"--json", "--telemetry"});
 
   std::uint64_t violations = 0;
   std::vector<std::string> sweep_json, ab_json;

@@ -2,15 +2,15 @@
 // idle IIO occupancy is lower with DDIO because of the shorter IIO->LLC
 // path, so the congestion threshold shifts down accordingly).
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const bool quick = exp::parse_bench_opts_or_die(argc, argv).quick;
 
   std::printf("=== Figure 14: hostCC benefits with DDIO enabled (I_T=50, B_T=80) ===\n\n");
 

@@ -6,9 +6,7 @@
 // local-only restores throughput but I_S saturates and drops stay high;
 // both together give high throughput AND low drops.
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "exp/cli.h"
@@ -141,11 +139,6 @@ void run_ewma_sweep(bool quick, const sim::SweepRunner& runner) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool timeseries = false, ewma = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--timeseries")) timeseries = true;
-    if (!std::strcmp(argv[i], "--ewma-sweep")) ewma = true;
-  }
   const exp::BenchOpts opts =
       exp::parse_bench_opts_or_die(argc, argv, {"--timeseries", "--ewma-sweep"});
   const sim::SweepRunner runner(opts.jobs);
@@ -153,7 +146,7 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 18: necessity of hostCC's mechanisms (3x congestion) ===\n\n");
   run_main_table(opts.quick, runner);
   std::printf("\n");
-  if (timeseries) run_timeseries(opts.quick);
-  if (ewma) run_ewma_sweep(opts.quick, runner);
+  if (opts.timeseries) run_timeseries(opts.quick);
+  if (opts.ewma_sweep) run_ewma_sweep(opts.quick, runner);
   return 0;
 }

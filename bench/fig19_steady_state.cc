@@ -4,15 +4,15 @@
 // Paper: PCIe bandwidth hugs B_T (+overheads ~84Gbps), the level
 // oscillates between 3 and 4, and I_S stays near/below I_T = 70.
 #include <cstdio>
-#include <string>
 
+#include "exp/cli.h"
 #include "exp/scenario.h"
 #include "exp/table.h"
 
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  const bool csv = exp::parse_bench_opts_or_die(argc, argv, {"--csv"}).csv;
 
   exp::ScenarioConfig cfg;
   cfg.mapp_degree = 3.0;

@@ -27,10 +27,10 @@
 //   --shards N worker threads, >= 1 (same bytes for every N)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "exp/cli.h"
 #include "exp/fabric_scenario.h"
 #include "exp/table.h"
 
@@ -38,19 +38,13 @@ using namespace hostcc;
 
 namespace {
 
-struct Options {
-  bool quick = false;
-  bool json = false;
-  int shards = 1;
-};
-
 struct RunOut {
   exp::FabricScenarioResults r;
   double xoff_per_ms = 0.0;
   double drain_us = 0.0;  // storm runs: last ledger all-clear after storm end
 };
 
-exp::FabricScenarioConfig base_cfg(const Options& opt) {
+exp::FabricScenarioConfig base_cfg(const exp::BenchOpts& opt) {
   exp::FabricScenarioConfig cfg;
   cfg.congested_hosts = 1;
   cfg.lossless = true;
@@ -66,7 +60,7 @@ exp::FabricScenarioConfig base_cfg(const Options& opt) {
 // loaded host. The pool is deep enough (512 KiB) that fabric congestion
 // alone never pauses — every XOFF traces back to the slow host NIC, which
 // is exactly the component hostCC governs.
-exp::FabricScenarioConfig host_cfg(const Options& opt) {
+exp::FabricScenarioConfig host_cfg(const exp::BenchOpts& opt) {
   exp::FabricScenarioConfig cfg = base_cfg(opt);
   cfg.topology = "leaf-spine:2x8";  // 16 hosts, 15 -> 1 incast
   cfg.traffic = exp::FabricTraffic::kIncast;
@@ -113,20 +107,7 @@ std::string run_json(const char* mode, const RunOut& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--json") {
-      opt.json = true;
-    } else if (a == "--shards" && i + 1 < argc && std::atoi(argv[i + 1]) >= 1) {
-      opt.shards = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json] [--shards N>=1]\n", argv[0]);
-      return 2;
-    }
-  }
+  const exp::BenchOpts opt = exp::parse_bench_opts_or_die(argc, argv, {"--json"});
 
   std::uint64_t violations = 0;
   std::vector<std::string> host_json, storm_json;

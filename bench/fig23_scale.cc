@@ -18,11 +18,11 @@
 //   --quick   shorter windows (CI smoke)
 //   --json    machine-readable rows (no wall-clock fields)
 #include <cstdio>
-#include <cstring>
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "exp/cli.h"
 #include "exp/fabric_scenario.h"
 #include "exp/table.h"
 
@@ -85,17 +85,13 @@ double rel_err(double a, double ref) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--json"});
 
   std::vector<RunOut> outs;
-  outs.push_back(run_one("full", 64, exp::HostFidelity::kFull, quick));
-  outs.push_back(run_one("auto", 64, exp::HostFidelity::kAuto, quick));
+  outs.push_back(run_one("full", 64, exp::HostFidelity::kFull, opts.quick));
+  outs.push_back(run_one("auto", 64, exp::HostFidelity::kAuto, opts.quick));
   for (const int hosts : {160, 320, 640}) {
-    outs.push_back(run_one("auto", hosts, exp::HostFidelity::kAuto, quick));
+    outs.push_back(run_one("auto", hosts, exp::HostFidelity::kAuto, opts.quick));
   }
 
   exp::Table t({"mode", "hosts", "full/analytic", "tput_gbps", "drop_pct", "fct_p50_us",
@@ -107,7 +103,7 @@ int main(int argc, char** argv) {
                exp::fmt(o.r.fct_p50_us, 1), exp::fmt(o.r.fct_p99_us, 1),
                exp::fmt(o.wall_ms, 1), std::to_string(o.r.invariant_violations)});
   }
-  if (json) {
+  if (opts.json) {
     std::printf("{\n  \"runs\": [");
     for (std::size_t i = 0; i < outs.size(); ++i) {
       std::printf("%s\n    %s", i ? "," : "", run_json(outs[i]).c_str());

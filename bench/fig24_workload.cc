@@ -13,7 +13,6 @@
 //               wall-clock fields)
 //   --shards N  worker threads, >= 1 (byte-identical results)
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,10 +82,6 @@ std::string run_json(const RunOut& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
   const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--json"});
 
   const std::vector<double> loads = opts.quick ? std::vector<double>{0.2, 0.6, 0.9}
@@ -108,7 +103,7 @@ int main(int argc, char** argv) {
                exp::fmt(o.slowdown_p99 / 1000.0, 2),
                std::to_string(o.r.invariant_violations)});
   }
-  if (json) {
+  if (opts.json) {
     std::printf("{\n  \"runs\": [");
     for (std::size_t i = 0; i < outs.size(); ++i) {
       std::printf("%s\n    %s", i ? "," : "", run_json(outs[i]).c_str());

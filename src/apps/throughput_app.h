@@ -54,17 +54,7 @@ class ThroughputApp {
   // Aggregated transport stats across senders.
   transport::TcpConnection::Stats sender_stats() const {
     transport::TcpConnection::Stats s;
-    for (const auto* c : tx_) {
-      const auto& cs = c->stats();
-      s.data_packets_sent += cs.data_packets_sent;
-      s.acks_sent += cs.acks_sent;
-      s.fast_retransmits += cs.fast_retransmits;
-      s.timeouts += cs.timeouts;
-      s.tlp_probes += cs.tlp_probes;
-      s.ce_received += cs.ce_received;
-      s.ece_received += cs.ece_received;
-      s.retransmitted_bytes += cs.retransmitted_bytes;
-    }
+    for (const auto* c : tx_) s.add(c->stats());
     return s;
   }
 

@@ -13,22 +13,24 @@
 //               hardware concurrency.
 //
 // Binaries with extra flags (fig18's --timeseries, fig24's --json) declare
-// them in `extra_flags`; they are accepted here and re-read by the caller.
-// Anything else is an error: every unknown flag in the invocation is
-// collected and reported in ONE std::invalid_argument that also lists the
-// full valid set (the same aggregated style as FaultPlan and the scenario
-// files), so a typo'd sweep invocation fails loudly instead of silently
-// running the default configuration.
+// them in `extra_flags`; the extras BenchOpts knows (--json, --csv,
+// --timeseries, --ewma-sweep, --telemetry DIR) come back in its fields.
+// Anything else is an error: every unknown flag and unparseable value in
+// the invocation is collected and reported in ONE std::invalid_argument
+// that also lists the full valid set (the same aggregated style as
+// FaultPlan, the scenario files and hostcc_sim), so a typo'd sweep
+// invocation fails loudly instead of silently running the default
+// configuration.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exp/scenario_file.h"
 #include "sim/sweep_runner.h"
 
 namespace hostcc::exp {
@@ -37,15 +39,23 @@ struct BenchOpts {
   bool quick = false;
   int jobs = 1;
   int shards = 1;  // fabric worker threads (FabricScenarioConfig::shards)
+  // Extras, set only for a binary that declares them.
+  bool json = false;          // --json: machine-readable output
+  bool csv = false;           // --csv: raw time-series rows
+  bool timeseries = false;    // --timeseries (fig18)
+  bool ewma_sweep = false;    // --ewma-sweep (fig18)
+  std::string telemetry_dir;  // --telemetry DIR (fig13x)
 };
 
 // Parses the shared flags; `extra_flags` names the binary-specific ones
 // (matched against the flag name, so "--foo", "--foo=v", and "--foo v" all
-// pass). Throws std::invalid_argument naming every unknown flag at once.
+// pass). Throws one std::invalid_argument naming every unknown flag and
+// unparseable value at once.
 inline BenchOpts parse_bench_opts(int argc, char** argv,
                                   std::initializer_list<const char*> extra_flags = {}) {
   BenchOpts opts;
   std::vector<std::string> unknown;
+  std::vector<std::string> bad;
   const auto is_extra = [&](const std::string& name) {
     for (const char* e : extra_flags) {
       if (name == e) return true;
@@ -65,21 +75,43 @@ inline BenchOpts parse_bench_opts(int argc, char** argv,
       }
       return val;
     };
+    // An absent value reads as 0; a present one must be a whole integer.
+    const auto take_int = [&](int& out) {
+      long long n = 0;
+      if (!take_value().empty() && !parse_i64(val, n)) {
+        bad.push_back(name + ": expected an integer, got '" + val + "'");
+      }
+      out = static_cast<int>(n);
+    };
     if (name == "--quick") {
       opts.quick = true;
     } else if (name == "--jobs") {
-      opts.jobs = std::atoi(take_value().c_str());
+      take_int(opts.jobs);
     } else if (name == "--shards") {
-      opts.shards = std::atoi(take_value().c_str());
-    } else if (is_extra(name)) {
-      take_value();  // value (if any) is re-read by the binary itself
-    } else {
+      take_int(opts.shards);
+    } else if (!is_extra(name)) {
       unknown.push_back(arg);
+    } else if (name == "--json") {
+      opts.json = true;
+    } else if (name == "--csv") {
+      opts.csv = true;
+    } else if (name == "--timeseries") {
+      opts.timeseries = true;
+    } else if (name == "--ewma-sweep") {
+      opts.ewma_sweep = true;
+    } else if (name == "--telemetry") {
+      opts.telemetry_dir = take_value();
+      if (opts.telemetry_dir.empty()) bad.push_back("--telemetry: missing directory");
+    } else {
+      take_value();  // a declared extra BenchOpts does not know
     }
   }
-  if (!unknown.empty()) {
-    std::string msg = unknown.size() == 1 ? "unknown flag:" : "unknown flags:";
+  if (!unknown.empty() || !bad.empty()) {
+    std::string msg;
+    if (!unknown.empty()) msg = unknown.size() == 1 ? "unknown flag:" : "unknown flags:";
     for (const std::string& u : unknown) msg += "\n  - " + u;
+    if (!bad.empty()) msg += msg.empty() ? "invalid values:" : "\ninvalid values:";
+    for (const std::string& b : bad) msg += "\n  - " + b;
     msg += "\nvalid flags: --quick, --jobs N, --shards N";
     for (const char* e : extra_flags) {
       msg += ", ";

@@ -187,20 +187,10 @@ std::uint64_t HostSlot::dropped_pkts() const {
 
 transport::TcpConnection::Stats HostSlot::sender_stats() const {
   transport::TcpConnection::Stats t;
-  auto add = [&t](const transport::TcpConnection::Stats& s) {
-    t.data_packets_sent += s.data_packets_sent;
-    t.acks_sent += s.acks_sent;
-    t.fast_retransmits += s.fast_retransmits;
-    t.timeouts += s.timeouts;
-    t.tlp_probes += s.tlp_probes;
-    t.ce_received += s.ce_received;
-    t.ece_received += s.ece_received;
-    t.retransmitted_bytes += s.retransmitted_bytes;
-  };
   for (const FlowSlot& f : flows_) {
     if (!f.sender) continue;
-    add(analytic_->flow_stats_of(f.flow));
-    if (stack_ && stack_->has_connection(f.flow)) add(stack_->connection(f.flow).stats());
+    t.add(analytic_->flow_stats_of(f.flow));
+    if (stack_ && stack_->has_connection(f.flow)) t.add(stack_->connection(f.flow).stats());
   }
   return t;
 }

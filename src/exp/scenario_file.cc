@@ -17,41 +17,6 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-// Strict scalar parsing: the whole token must be consumed, so "0.6x" or
-// "12 3" fail instead of silently truncating.
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool parse_i64(const std::string& s, long long& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
-bool parse_bool(const std::string& s, bool& out) {
-  if (s == "true" || s == "on" || s == "1") {
-    out = true;
-    return true;
-  }
-  if (s == "false" || s == "off" || s == "0") {
-    out = false;
-    return true;
-  }
-  return false;
-}
-
 // Accumulates the file's problems; one entry per line that failed.
 struct Errors {
   std::vector<std::string> list;
@@ -64,7 +29,8 @@ constexpr const char* kFabricKeys =
     "topology, hosts, shards, pattern, seed, cc, mtu, hostcc, bt_gbps, it, "
     "degree, congested_hosts, lossless, storm_breaker, fidelity, warmup_ms, "
     "measure_ms, check_invariants, flows_per_pair, flow_bytes, "
-    "fabric_buffer_kib, fault";
+    "fabric_buffer_kib, promote_threshold, messages_per_flow, ddio, "
+    "iommu_miss_rate, fault";
 constexpr const char* kWorkloadKeys =
     "arrival, load, size_cdf, slots_per_pair, reuse_cooldown_us, seed, "
     "burst_factor, burst_on_us, burst_off_us, profile, prewarm";
@@ -89,95 +55,6 @@ bool parse_profile(const std::string& s,
     out.emplace_back(sim::Time::microseconds(off_us), mult);
   }
   return !out.empty();
-}
-
-void apply_fabric_key(FabricScenarioConfig& cfg, const std::string& key,
-                      const std::string& val, int line, Errors& errs) {
-  const auto bad = [&](const char* want) {
-    errs.add(line, "fabric." + key + ": expected " + want + ", got '" + val + "'");
-  };
-  double d = 0.0;
-  long long n = 0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "topology") {
-    cfg.topology = val;
-  } else if (key == "hosts") {
-    parse_i64(val, n) ? void(cfg.hosts = static_cast<int>(n)) : bad("an integer");
-  } else if (key == "shards") {
-    parse_i64(val, n) ? void(cfg.shards = static_cast<int>(n)) : bad("an integer");
-  } else if (key == "pattern") {
-    if (val == "incast") {
-      cfg.traffic = FabricTraffic::kIncast;
-    } else if (val == "all-to-all") {
-      cfg.traffic = FabricTraffic::kAllToAll;
-    } else {
-      bad("incast | all-to-all");
-    }
-  } else if (key == "seed") {
-    parse_u64(val, u) ? void(cfg.host.seed = u) : bad("an unsigned integer");
-  } else if (key == "cc") {
-    if (val == "dctcp") {
-      cfg.transport.cc = transport::CcKind::kDctcp;
-    } else if (val == "reno") {
-      cfg.transport.cc = transport::CcKind::kReno;
-    } else if (val == "swift") {
-      cfg.transport.cc = transport::CcKind::kSwift;
-    } else if (val == "dcqcn") {
-      cfg.transport.cc = transport::CcKind::kDcqcn;
-    } else {
-      bad("dctcp | reno | swift | dcqcn");
-    }
-  } else if (key == "mtu") {
-    parse_i64(val, n) ? void(cfg.transport.mtu = n) : bad("bytes");
-  } else if (key == "hostcc") {
-    parse_bool(val, b) ? void(cfg.hostcc_enabled = b) : bad("a boolean");
-  } else if (key == "bt_gbps") {
-    parse_double(val, d) ? void(cfg.hostcc.target_bandwidth = sim::Bandwidth::gbps(d))
-                         : bad("a number");
-  } else if (key == "it") {
-    parse_double(val, d) ? void(cfg.hostcc.iio_threshold = d) : bad("a number");
-  } else if (key == "degree") {
-    parse_double(val, d) ? void(cfg.mapp_degree = d) : bad("a number");
-  } else if (key == "congested_hosts") {
-    parse_i64(val, n) ? void(cfg.congested_hosts = static_cast<int>(n)) : bad("an integer");
-  } else if (key == "lossless") {
-    parse_bool(val, b) ? void(cfg.lossless = b) : bad("a boolean");
-  } else if (key == "storm_breaker") {
-    parse_bool(val, b) ? void(cfg.storm_breaker = b) : bad("a boolean");
-  } else if (key == "fidelity") {
-    if (val == "full") {
-      cfg.fidelity = HostFidelity::kFull;
-    } else if (val == "analytic") {
-      cfg.fidelity = HostFidelity::kAnalytic;
-    } else if (val == "auto") {
-      cfg.fidelity = HostFidelity::kAuto;
-    } else {
-      bad("full | analytic | auto");
-    }
-  } else if (key == "warmup_ms") {
-    parse_double(val, d) ? void(cfg.warmup = sim::Time::milliseconds(d)) : bad("milliseconds");
-  } else if (key == "measure_ms") {
-    parse_double(val, d) ? void(cfg.measure = sim::Time::milliseconds(d)) : bad("milliseconds");
-  } else if (key == "check_invariants") {
-    parse_bool(val, b) ? void(cfg.check_invariants = b) : bad("a boolean");
-  } else if (key == "flows_per_pair") {
-    parse_i64(val, n) ? void(cfg.flows_per_pair = static_cast<int>(n)) : bad("an integer");
-  } else if (key == "flow_bytes") {
-    if (parse_i64(val, n)) {
-      cfg.flow_bytes = n;
-      if (n > 0) cfg.record_flow_stats = true;
-    } else {
-      bad("bytes");
-    }
-  } else if (key == "fabric_buffer_kib") {
-    parse_i64(val, n) ? void(cfg.fabric.buffer_bytes = n * sim::kKiB) : bad("KiB");
-  } else if (key == "fault") {
-    if (auto err = cfg.faults.add_spec(val)) errs.add(line, "fabric.fault: " + *err);
-  } else {
-    errs.add(line, "unknown key '" + key + "' in [fabric] (valid keys: " +
-                       std::string(kFabricKeys) + ")");
-  }
 }
 
 void apply_workload_key(FabricScenarioConfig& cfg, const std::string& key,
@@ -244,6 +121,137 @@ void apply_rpc_key(FabricScenarioConfig& cfg, const std::string& key, const std:
 
 }  // namespace
 
+bool parse_double(const std::string& s, double& out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return end == s.c_str() + s.size();
+}
+
+bool parse_i64(const std::string& s, long long& out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  out = std::strtoll(s.c_str(), &end, 10);
+  return end == s.c_str() + s.size();
+}
+
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  if (s.empty() || s[0] == '-') return false;
+  char* end = nullptr;
+  out = std::strtoull(s.c_str(), &end, 10);
+  return end == s.c_str() + s.size();
+}
+
+bool parse_bool(const std::string& s, bool& out) {
+  if (s == "true" || s == "on" || s == "1") {
+    out = true;
+    return true;
+  }
+  if (s == "false" || s == "off" || s == "0") {
+    out = false;
+    return true;
+  }
+  return false;
+}
+
+std::optional<std::string> set_fabric_key(FabricScenarioConfig& cfg, const std::string& key,
+                                          const std::string& val) {
+  std::optional<std::string> err;
+  const auto bad = [&](const char* want) {
+    err = "fabric." + key + ": expected " + want + ", got '" + val + "'";
+  };
+  double d = 0.0;
+  long long n = 0;
+  std::uint64_t u = 0;
+  bool b = false;
+  if (key == "topology") {
+    cfg.topology = val;
+  } else if (key == "hosts") {
+    parse_i64(val, n) ? void(cfg.hosts = static_cast<int>(n)) : bad("an integer");
+  } else if (key == "shards") {
+    parse_i64(val, n) ? void(cfg.shards = static_cast<int>(n)) : bad("an integer");
+  } else if (key == "pattern") {
+    if (val == "incast") {
+      cfg.traffic = FabricTraffic::kIncast;
+    } else if (val == "all-to-all") {
+      cfg.traffic = FabricTraffic::kAllToAll;
+    } else {
+      bad("incast | all-to-all");
+    }
+  } else if (key == "seed") {
+    parse_u64(val, u) ? void(cfg.host.seed = u) : bad("an unsigned integer");
+  } else if (key == "cc") {
+    if (!transport::parse_cc_kind(val, cfg.transport.cc)) bad("dctcp | reno | swift | dcqcn");
+  } else if (key == "mtu") {
+    parse_i64(val, n) ? void(cfg.transport.mtu = n) : bad("bytes");
+  } else if (key == "hostcc") {
+    parse_bool(val, b) ? void(cfg.hostcc_enabled = b) : bad("a boolean");
+  } else if (key == "bt_gbps") {
+    parse_double(val, d) ? void(cfg.hostcc.target_bandwidth = sim::Bandwidth::gbps(d))
+                         : bad("a number");
+  } else if (key == "it") {
+    parse_double(val, d) ? void(cfg.hostcc.iio_threshold = d) : bad("a number");
+  } else if (key == "degree") {
+    parse_double(val, d) ? void(cfg.mapp_degree = d) : bad("a number");
+  } else if (key == "congested_hosts") {
+    parse_i64(val, n) ? void(cfg.congested_hosts = static_cast<int>(n)) : bad("an integer");
+  } else if (key == "lossless") {
+    parse_bool(val, b) ? void(cfg.lossless = b) : bad("a boolean");
+  } else if (key == "storm_breaker") {
+    parse_bool(val, b) ? void(cfg.storm_breaker = b) : bad("a boolean");
+  } else if (key == "fidelity") {
+    if (val == "full") {
+      cfg.fidelity = HostFidelity::kFull;
+    } else if (val == "analytic") {
+      cfg.fidelity = HostFidelity::kAnalytic;
+    } else if (val == "auto") {
+      cfg.fidelity = HostFidelity::kAuto;
+    } else {
+      bad("full | analytic | auto");
+    }
+  } else if (key == "warmup_ms") {
+    parse_double(val, d) ? void(cfg.warmup = sim::Time::milliseconds(d)) : bad("milliseconds");
+  } else if (key == "measure_ms") {
+    parse_double(val, d) ? void(cfg.measure = sim::Time::milliseconds(d)) : bad("milliseconds");
+  } else if (key == "check_invariants") {
+    parse_bool(val, b) ? void(cfg.check_invariants = b) : bad("a boolean");
+  } else if (key == "flows_per_pair") {
+    parse_i64(val, n) ? void(cfg.flows_per_pair = static_cast<int>(n)) : bad("an integer");
+  } else if (key == "flow_bytes") {
+    if (parse_i64(val, n)) {
+      cfg.flow_bytes = n;
+      if (n > 0) cfg.record_flow_stats = true;
+    } else {
+      bad("bytes");
+    }
+  } else if (key == "fabric_buffer_kib") {
+    parse_i64(val, n) ? void(cfg.fabric.buffer_bytes = n * sim::kKiB) : bad("KiB");
+  } else if (key == "promote_threshold") {
+    parse_i64(val, n) ? void(cfg.promote_threshold = n) : bad("bytes");
+  } else if (key == "messages_per_flow") {
+    parse_u64(val, u) ? void(cfg.messages_per_flow = u) : bad("an unsigned integer");
+  } else if (key == "ddio") {
+    if (parse_bool(val, b)) {
+      cfg.host.ddio_enabled = b;
+      if (b) cfg.hostcc.iio_threshold = 50.0;  // §5.2's I_T for DDIO; a later `it` overrides
+    } else {
+      bad("a boolean");
+    }
+  } else if (key == "iommu_miss_rate") {
+    if (parse_double(val, d)) {
+      cfg.host.iommu_enabled = true;
+      cfg.host.iotlb_miss_rate = d;
+    } else {
+      bad("an IOTLB miss rate");
+    }
+  } else if (key == "fault") {
+    if (auto e = cfg.faults.add_spec(val)) err = "fabric.fault: " + *e;
+  } else {
+    err = "unknown key '" + key + "' in [fabric] (valid keys: " + std::string(kFabricKeys) + ")";
+  }
+  return err;
+}
+
 FabricScenarioConfig parse_scenario_text(const std::string& text, const std::string& origin) {
   FabricScenarioConfig cfg;
   Errors errs;
@@ -304,7 +312,7 @@ FabricScenarioConfig parse_scenario_text(const std::string& text, const std::str
                              "[workload], or [rpc])");
         break;
       case Section::kFabric:
-        apply_fabric_key(cfg, key, val, lineno, errs);
+        if (auto err = set_fabric_key(cfg, key, val)) errs.add(lineno, *err);
         break;
       case Section::kWorkload:
         apply_workload_key(cfg, key, val, lineno, errs);

@@ -30,6 +30,8 @@
 // which aggregates in the same style.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "exp/fabric_scenario.h"
@@ -44,5 +46,20 @@ FabricScenarioConfig parse_scenario_text(const std::string& text,
 
 // Reads `path` and parses it; unreadable files throw std::invalid_argument.
 FabricScenarioConfig load_scenario_file(const std::string& path);
+
+// Applies one `[fabric]` key = value to `cfg`, exactly as a line of a
+// scenario file does (hostcc_sim applies its fabric flags through this).
+// Returns the problem — "fabric.<key>: expected ..., got '<value>'", a
+// fault-spec error, or an unknown-key message listing the valid keys — or
+// nullopt when the key was applied.
+std::optional<std::string> set_fabric_key(FabricScenarioConfig& cfg, const std::string& key,
+                                          const std::string& val);
+
+// The strict scalar parsers behind every key: the whole token must be
+// consumed, so "0.6x" or "12 3" fail instead of silently truncating.
+bool parse_double(const std::string& s, double& out);
+bool parse_i64(const std::string& s, long long& out);
+bool parse_u64(const std::string& s, std::uint64_t& out);
+bool parse_bool(const std::string& s, bool& out);  // true|on|1 / false|off|0
 
 }  // namespace hostcc::exp

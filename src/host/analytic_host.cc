@@ -418,18 +418,8 @@ const transport::TcpConnection::Stats& AnalyticHost::flow_stats_of(net::FlowId f
 
 transport::TcpConnection::Stats AnalyticHost::totals() const {
   transport::TcpConnection::Stats t;
-  auto add = [&t](const transport::TcpConnection::Stats& s) {
-    t.data_packets_sent += s.data_packets_sent;
-    t.acks_sent += s.acks_sent;
-    t.fast_retransmits += s.fast_retransmits;
-    t.timeouts += s.timeouts;
-    t.tlp_probes += s.tlp_probes;
-    t.ce_received += s.ce_received;
-    t.ece_received += s.ece_received;
-    t.retransmitted_bytes += s.retransmitted_bytes;
-  };
-  for (const auto& [flow, f] : senders_) add(f.stats);
-  for (const auto& [flow, f] : receivers_) add(f.stats);
+  for (const auto& [flow, f] : senders_) t.add(f.stats);
+  for (const auto& [flow, f] : receivers_) t.add(f.stats);
   return t;
 }
 

@@ -310,4 +310,15 @@ inline const char* cc_kind_name(CcKind k) {
   return "?";
 }
 
+// Inverse of cc_kind_name; false (and `out` untouched) for any other name.
+inline bool parse_cc_kind(const std::string& name, CcKind& out) {
+  for (const CcKind k : {CcKind::kDctcp, CcKind::kReno, CcKind::kSwift, CcKind::kDcqcn}) {
+    if (name == cc_kind_name(k)) {
+      out = k;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace hostcc::transport

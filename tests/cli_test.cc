@@ -74,5 +74,31 @@ TEST(BenchCliTest, ValueAttachmentDoesNotSwallowFlags) {
   EXPECT_EQ(o.jobs, 0);  // atoi("") — explicit value absent
 }
 
+TEST(BenchCliTest, DeclaredExtrasComeBackInTheirFields) {
+  const BenchOpts o =
+      parse({"--json", "--csv", "--timeseries", "--ewma-sweep", "--telemetry", "out"},
+            {"--json", "--csv", "--timeseries", "--ewma-sweep", "--telemetry"});
+  EXPECT_TRUE(o.json);
+  EXPECT_TRUE(o.csv);
+  EXPECT_TRUE(o.timeseries);
+  EXPECT_TRUE(o.ewma_sweep);
+  EXPECT_EQ(o.telemetry_dir, "out");
+  // A binary that does not declare an extra rejects it.
+  EXPECT_THROW(parse({"--json"}), std::invalid_argument);
+}
+
+TEST(BenchCliTest, BadValuesAggregateWithUnknownFlags) {
+  try {
+    parse({"--quik", "--jobs", "x", "--shards=2x", "--telemetry"}, {"--telemetry"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--quik"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--jobs: expected an integer, got 'x'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--shards: expected an integer, got '2x'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--telemetry: missing directory"), std::string::npos) << msg;
+  }
+}
+
 }  // namespace
 }  // namespace hostcc::exp

@@ -130,6 +130,32 @@ TEST(ScenarioFileTest, SemanticProblemsAggregateInTheScenarioBuild) {
   }
 }
 
+TEST(ScenarioFileTest, KeysForTheCliOnlyFieldsSetThem) {
+  const FabricScenarioConfig cfg = parse_scenario_text(
+      "[fabric]\n"
+      "it = 60\n"
+      "ddio = true\n"  // after `it`: DDIO's I_T of 50 wins, as --it 60 --ddio
+      "promote_threshold = 32768\n"
+      "messages_per_flow = 4\n"
+      "iommu_miss_rate = 0.4\n");
+  EXPECT_TRUE(cfg.host.ddio_enabled);
+  EXPECT_DOUBLE_EQ(cfg.hostcc.iio_threshold, 50.0);
+  EXPECT_EQ(cfg.promote_threshold, 32768);
+  EXPECT_EQ(cfg.messages_per_flow, 4u);
+  EXPECT_TRUE(cfg.host.iommu_enabled);
+  EXPECT_DOUBLE_EQ(cfg.host.iotlb_miss_rate, 0.4);
+}
+
+TEST(ScenarioFileTest, SetFabricKeyAppliesOneLine) {
+  FabricScenarioConfig cfg;
+  EXPECT_FALSE(set_fabric_key(cfg, "degree", "3"));
+  EXPECT_DOUBLE_EQ(cfg.mapp_degree, 3.0);
+  EXPECT_EQ(set_fabric_key(cfg, "hosts", "abc").value_or(""),
+            "fabric.hosts: expected an integer, got 'abc'");
+  EXPECT_NE(set_fabric_key(cfg, "warp", "9").value_or("").find("unknown key 'warp' in [fabric]"),
+            std::string::npos);
+}
+
 TEST(ScenarioFileTest, UnreadableFileThrows) {
   EXPECT_THROW(load_scenario_file("/nonexistent/scenario.conf"), std::invalid_argument);
 }
