@@ -32,7 +32,7 @@ exp::ScenarioConfig base_config(bool ddio, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv);
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--jobs"});
   const sim::SweepRunner runner(opts.jobs);
 
   std::printf("=== Figure 3: MTU size and flow count under 3x host congestion ===\n\n");

@@ -18,7 +18,7 @@
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv);
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--jobs"});
 
   std::printf("=== Figure 9: hard-coded host-local response levels (MBA) ===\n");
   std::printf("Setup: NetApp-T + MApp 3x; MBA level fixed per run.\n\n");

@@ -107,7 +107,7 @@ std::string result_json(exp::FabricScenario& s, const exp::FabricScenarioResults
 
 int main(int argc, char** argv) {
   const exp::BenchOpts opt =
-      exp::parse_bench_opts_or_die(argc, argv, {"--json", "--telemetry"});
+      exp::parse_bench_opts_or_die(argc, argv, {"--shards", "--json", "--telemetry"});
 
   std::uint64_t violations = 0;
   std::vector<std::string> sweep_json, ab_json;

@@ -16,7 +16,7 @@
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv);
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--jobs"});
 
   std::printf("=== Figure 16: sensitivity to target network bandwidth B_T (3x, I_T=70) ===\n\n");
 

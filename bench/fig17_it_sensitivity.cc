@@ -15,7 +15,7 @@
 using namespace hostcc;
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv);
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--jobs"});
 
   std::printf("=== Figure 17: sensitivity to IIO threshold I_T (3x, B_T=80Gbps) ===\n\n");
 

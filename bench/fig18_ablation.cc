@@ -140,7 +140,7 @@ void run_ewma_sweep(bool quick, const sim::SweepRunner& runner) {
 
 int main(int argc, char** argv) {
   const exp::BenchOpts opts =
-      exp::parse_bench_opts_or_die(argc, argv, {"--timeseries", "--ewma-sweep"});
+      exp::parse_bench_opts_or_die(argc, argv, {"--jobs", "--timeseries", "--ewma-sweep"});
   const sim::SweepRunner runner(opts.jobs);
 
   std::printf("=== Figure 18: necessity of hostCC's mechanisms (3x congestion) ===\n\n");

@@ -107,7 +107,7 @@ std::string run_json(const char* mode, const RunOut& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opt = exp::parse_bench_opts_or_die(argc, argv, {"--json"});
+  const exp::BenchOpts opt = exp::parse_bench_opts_or_die(argc, argv, {"--shards", "--json"});
 
   std::uint64_t violations = 0;
   std::vector<std::string> host_json, storm_json;

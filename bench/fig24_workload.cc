@@ -82,7 +82,7 @@ std::string run_json(const RunOut& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--json"});
+  const exp::BenchOpts opts = exp::parse_bench_opts_or_die(argc, argv, {"--shards", "--json"});
 
   const std::vector<double> loads = opts.quick ? std::vector<double>{0.2, 0.6, 0.9}
                                                : std::vector<double>{0.2, 0.4, 0.6, 0.8, 0.9};

@@ -1,20 +1,18 @@
 // Shared command-line handling for the figure/bench binaries.
 //
-// Every multi-point bench accepts:
-//   --quick     shorter warmup/measure windows (CI smoke runs)
+// Every bench accepts --quick (shorter warmup/measure windows, for CI
+// smoke runs). Everything else is declared per binary in `extra_flags`,
+// so a binary takes exactly the flags it reads; the extras BenchOpts
+// knows come back in its fields:
 //   --jobs N    run the sweep's configurations on N threads (0 = all
 //               hardware threads) via sim::SweepRunner; results are
 //               byte-identical for every N
 //   --shards N  run each fabric configuration on N >= 1 worker threads
 //               (exp::FabricScenarioConfig::shards, default 1); results
-//               are byte-identical for every N. When both --jobs and
-//               --shards are above 1, pass opts.shards to SweepRunner's
-//               shards_per_task so jobs x shards stays within the
-//               hardware concurrency.
-//
-// Binaries with extra flags (fig18's --timeseries, fig24's --json) declare
-// them in `extra_flags`; the extras BenchOpts knows (--json, --csv,
-// --timeseries, --ewma-sweep, --telemetry DIR) come back in its fields.
+//               are byte-identical for every N. A binary taking both
+//               should pass opts.shards to SweepRunner's shards_per_task
+//               so jobs x shards stays within the hardware concurrency.
+//   --json, --csv, --timeseries, --ewma-sweep, --telemetry DIR
 // Anything else is an error: every unknown flag and unparseable value in
 // the invocation is collected and reported in ONE std::invalid_argument
 // that also lists the full valid set (the same aggregated style as
@@ -47,7 +45,7 @@ struct BenchOpts {
   std::string telemetry_dir;  // --telemetry DIR (fig13x)
 };
 
-// Parses the shared flags; `extra_flags` names the binary-specific ones
+// Parses --quick; `extra_flags` names the binary-specific ones
 // (matched against the flag name, so "--foo", "--foo=v", and "--foo v" all
 // pass). Throws one std::invalid_argument naming every unknown flag and
 // unparseable value at once.
@@ -85,12 +83,12 @@ inline BenchOpts parse_bench_opts(int argc, char** argv,
     };
     if (name == "--quick") {
       opts.quick = true;
+    } else if (!is_extra(name)) {
+      unknown.push_back(arg);
     } else if (name == "--jobs") {
       take_int(opts.jobs);
     } else if (name == "--shards") {
       take_int(opts.shards);
-    } else if (!is_extra(name)) {
-      unknown.push_back(arg);
     } else if (name == "--json") {
       opts.json = true;
     } else if (name == "--csv") {
@@ -112,10 +110,10 @@ inline BenchOpts parse_bench_opts(int argc, char** argv,
     for (const std::string& u : unknown) msg += "\n  - " + u;
     if (!bad.empty()) msg += msg.empty() ? "invalid values:" : "\ninvalid values:";
     for (const std::string& b : bad) msg += "\n  - " + b;
-    msg += "\nvalid flags: --quick, --jobs N, --shards N";
-    for (const char* e : extra_flags) {
-      msg += ", ";
-      msg += e;
+    msg += "\nvalid flags: --quick";
+    for (const std::string e : extra_flags) {
+      msg += ", " + e;
+      if (e == "--jobs" || e == "--shards") msg += " N";
     }
     throw std::invalid_argument(msg);
   }

@@ -1,10 +1,8 @@
 #include "exp/fabric_scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 
 namespace hostcc::exp {
 
@@ -19,12 +17,13 @@ std::uint64_t mix_host_seed(std::uint64_t seed, std::uint64_t idx) {
   return x ^ (x >> 31);
 }
 
-// Full startup validation, aggregated (HostConfig pattern): topology
-// grammar and graph checks, host/hostCC/fault-plan checks, and
-// fabric-specific knobs, all collected before anything is built.
+}  // namespace
+
 std::vector<std::string> validate(const FabricScenarioConfig& cfg,
-                                  const std::optional<fabric::Topology>& topo,
-                                  const std::string& topo_err) {
+                                  std::optional<fabric::Topology>* topo_out,
+                                  workload::SizeCdf* cdf_out) {
+  std::string topo_err;
+  std::optional<fabric::Topology> topo = fabric::Topology::parse(cfg.topology, &topo_err);
   std::vector<std::string> errs = host::validate(cfg.host);
   if (cfg.hostcc_enabled) {
     for (auto& e : core::validate(cfg.hostcc)) errs.push_back(std::move(e));
@@ -171,10 +170,20 @@ std::vector<std::string> validate(const FabricScenarioConfig& cfg,
       }
     }
   }
+  if (cfg.workload.enabled) {
+    for (auto& e : workload::validate(cfg.workload)) errs.push_back(std::move(e));
+    workload::SizeCdf cdf = workload::SizeCdf::parse(cfg.workload.size_dist, errs);
+    if (cdf_out) *cdf_out = std::move(cdf);
+    if (cfg.fidelity == HostFidelity::kAnalytic) {
+      errs.push_back(
+          "fabric_scenario.workload: the flow-level tier cannot open or retire "
+          "connections, so the workload engine needs packet-level hosts (use "
+          "--fidelity full or auto; auto is coerced to full)");
+    }
+  }
+  if (topo_out) *topo_out = std::move(topo);
   return errs;
 }
-
-}  // namespace
 
 FabricScenario::FabricScenario(FabricScenarioConfig cfg) : cfg_(std::move(cfg)) { build(); }
 FabricScenario::~FabricScenario() = default;
@@ -203,20 +212,9 @@ std::string FabricScenario::fabric_invariants_report() const {
 }
 
 void FabricScenario::build() {
-  std::string topo_err;
-  std::optional<fabric::Topology> topo = fabric::Topology::parse(cfg_.topology, &topo_err);
-  std::vector<std::string> errs = validate(cfg_, topo, topo_err);
-  if (cfg_.workload.enabled) {
-    for (auto& e : workload::validate(cfg_.workload)) errs.push_back(std::move(e));
-    workload_cdf_ = workload::SizeCdf::parse(cfg_.workload.size_dist, errs);
-    if (cfg_.fidelity == HostFidelity::kAnalytic) {
-      errs.push_back(
-          "fabric_scenario.workload: the flow-level tier cannot open or retire "
-          "connections, so the workload engine needs packet-level hosts (use "
-          "--fidelity full or auto; auto is coerced to full)");
-    }
-  }
-  if (!errs.empty()) {
+  std::optional<fabric::Topology> topo;
+  if (const std::vector<std::string> errs = validate(cfg_, &topo, &workload_cdf_);
+      !errs.empty()) {
     std::string joined = "invalid fabric scenario config:";
     for (const std::string& e : errs) joined += "\n  - " + e;
     throw std::invalid_argument(joined);
@@ -228,11 +226,6 @@ void FabricScenario::build() {
     // product, so it is always on here.
     if (cfg_.fidelity == HostFidelity::kAuto) cfg_.fidelity = HostFidelity::kFull;
     cfg_.record_flow_stats = true;
-  }
-
-  bool coalesced = cfg_.coalesced_drains;
-  if (const char* mode = std::getenv("HOSTCC_DRAIN_MODE")) {
-    coalesced = std::string_view(mode) != "per_packet";
   }
 
   // Lossless mode and switch PFC are one knob viewed from two layers:
@@ -265,7 +258,7 @@ void FabricScenario::build() {
     const int id = channels_->add_channel(from_cell, to_cell, std::move(deliver));
     return [this, id](sim::Time due, const net::Packet& p) { channels_->push(id, due, p); };
   };
-  fabric_ = std::make_unique<fabric::Fabric>(engine_->cell(0), *topo, cfg_.fabric, coalesced,
+  fabric_ = std::make_unique<fabric::Fabric>(engine_->cell(0), *topo, cfg_.fabric,
                                              std::move(hooks));
   const int ncells = plan_.cells;
   host_cell_.assign(n_hosts, 0);

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,8 +123,6 @@ struct FabricScenarioConfig {
   obs::FabricTelemetryConfig telemetry_cfg;
   bool profile = false;                  // simulator self-profiler
 
-  bool coalesced_drains = true;          // HOSTCC_DRAIN_MODE overrides
-
   // Host fidelity (--fidelity full|analytic|auto). Every host is a
   // HostSlot: kFull pins every slot full (a packet-level HostModel per
   // host); kAnalytic runs every host as a flow-level AnalyticHost; kAuto
@@ -198,6 +197,16 @@ struct FabricScenarioResults {
   std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;
 };
+
+// Every startup check FabricScenario runs before building anything, as one
+// aggregated list (empty = valid): the topology grammar and graph, the
+// host/hostCC/fault-plan checks, the fabric knobs, fault edge names, and
+// the workload. `topo_out` and `cdf_out`, when given, receive the parsed
+// topology and flow-size CDF. hostcc_sim reports these errors together
+// with its command-line errors.
+std::vector<std::string> validate(const FabricScenarioConfig& cfg,
+                                  std::optional<fabric::Topology>* topo_out = nullptr,
+                                  workload::SizeCdf* cdf_out = nullptr);
 
 class FabricScenario {
  public:

@@ -1,8 +1,6 @@
 #include "exp/scenario.h"
 
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 namespace hostcc::exp {
 
@@ -86,29 +84,10 @@ void Scenario::build() {
     throw std::invalid_argument(joined);
   }
 
-  bool coalesced = cfg_.coalesced_drains;
-  if (const char* mode = std::getenv("HOSTCC_DRAIN_MODE")) {
-    coalesced = std::string_view(mode) != "per_packet";
-  }
-
   // One switch port per host, added in HostId order so port i leads to
-  // host i. Coalesced drains fold the downlink propagation into the
-  // switch's delivery event; per-packet mode relays it as its own event.
+  // host i. The port's delivery event carries the downlink propagation.
   fabric_ = std::make_unique<fabric::FabricSwitch>(sim_, "sw0",
                                                    star_switch_config(cfg_.senders + 1));
-  const auto add_host_port = [this, coalesced](net::HostId id, host::HostModel* h) {
-    const sim::Time delay = cfg_.link_delay;
-    if (coalesced) {
-      fabric_->add_port(
-          h->name(), cfg_.link_rate, [h](const net::PacketRef& p) { h->receive_from_wire(p); },
-          delay);
-    } else {
-      fabric_->add_port(h->name(), cfg_.link_rate, [this, h, delay](const net::PacketRef& p) {
-        sim_.after(delay, [h, p] { h->receive_from_wire(p); });
-      });
-    }
-    fabric_->set_route(id, {static_cast<int>(id)});
-  };
 
   // Receiver host + stack + downlink.
   receiver_ = std::make_unique<host::HostModel>(sim_, cfg_.host, "receiver");
@@ -120,7 +99,11 @@ void Scenario::build() {
     up->set_on_dequeue([h = receiver_.get()](const net::Packet& p) { h->wire_dequeued(p); });
     receiver_->set_egress([lnk = up.get()](const net::PacketRef& p) { lnk->send(p); });
     links_.push_back(std::move(up));
-    add_host_port(kReceiverId, receiver_.get());
+    fabric_->add_port(
+        receiver_->name(), cfg_.link_rate,
+        [h = receiver_.get()](const net::PacketRef& p) { h->receive_from_wire(p); },
+        cfg_.link_delay);
+    fabric_->set_route(kReceiverId, {static_cast<int>(kReceiverId)});
   }
 
   // Sender hosts.
@@ -134,7 +117,10 @@ void Scenario::build() {
     up->set_sink([this](const net::PacketRef& p) { fabric_->ingress(p); });
     up->set_on_dequeue([hp = h.get()](const net::Packet& p) { hp->wire_dequeued(p); });
     h->set_egress([lnk = up.get()](const net::PacketRef& p) { lnk->send(p); });
-    add_host_port(id, h.get());
+    fabric_->add_port(
+        h->name(), cfg_.link_rate,
+        [hp = h.get()](const net::PacketRef& p) { hp->receive_from_wire(p); }, cfg_.link_delay);
+    fabric_->set_route(id, {static_cast<int>(id)});
     links_.push_back(std::move(up));
     sender_hosts_.push_back(std::move(h));
     sender_stacks_.push_back(std::move(stack));

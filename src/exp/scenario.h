@@ -73,14 +73,6 @@ struct ScenarioConfig {
   // this size, which gives FlowStats real completion times.
   sim::Bytes netapp_flow_bytes = 0;
   bool profile = false;                   // enable the simulator self-profiler
-
-  // Coalesced drains (default): the switch folds the fabric->host
-  // propagation delay into its own delivery event instead of the scenario
-  // relaying every packet through an extra scheduled hop — identical
-  // arrival times, one fewer event per packet per direction. Set false (or
-  // export HOSTCC_DRAIN_MODE=per_packet, which overrides at build time) to
-  // restore the seed's per-packet relay for A/B determinism checks.
-  bool coalesced_drains = true;
 };
 
 struct ScenarioResults {

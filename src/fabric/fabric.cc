@@ -16,12 +16,8 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t idx) {
 }
 }  // namespace
 
-Fabric::Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, bool coalesced_drains)
-    : Fabric(sim, std::move(topo), cfg, coalesced_drains, FabricShardHooks{}) {}
-
-Fabric::Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, bool coalesced_drains,
-               FabricShardHooks hooks)
-    : sim_(sim), topo_(std::move(topo)), cfg_(cfg), coalesced_(coalesced_drains) {
+Fabric::Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, FabricShardHooks hooks)
+    : sim_(sim), topo_(std::move(topo)), cfg_(cfg) {
   topo_.throw_if_invalid();
   const bool sharded = hooks.active();
 
@@ -67,8 +63,8 @@ Fabric::Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, bool 
       // Cross-cell hop: stamp the arrival time producer-side and hand off
       // through the epoch channel. The consumer's by-value ingress bridge
       // re-pools the packet on its own cell, so refcounts never cross a
-      // thread. Identical in both drain modes — the propagation rides the
-      // stamped due time, never the delivery port's extra delay.
+      // thread. The propagation rides the stamped due time, never the
+      // delivery port's extra delay.
       auto push = hooks.make_channel(
           cell_of_switch_[from_sw], cell_of_switch_[to_sw],
           [next, in_idx](const net::Packet& pkt) { next->ingress(pkt, in_idx); });
@@ -77,14 +73,8 @@ Fabric::Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, bool 
       sink = [push = std::move(push), src_sim, delay](const net::PacketRef& p) {
         push(src_sim->now() + delay, *p);
       };
-    } else if (coalesced_) {
-      sink = [next, in_idx](const net::PacketRef& p) { next->ingress(p, in_idx); };
     } else {
-      sim::Simulator* hop_sim = sim_of_switch_[from_sw];
-      const sim::Time delay = arc.delay;
-      sink = [hop_sim, next, in_idx, delay](const net::PacketRef& p) {
-        hop_sim->after(delay, [next, in_idx, p] { next->ingress(p, in_idx); });
-      };
+      sink = [next, in_idx](const net::PacketRef& p) { next->ingress(p, in_idx); };
     }
     const int port = add_switch_port(from_sw, arc, std::move(sink), cross);
     adjacency_[from_sw].push_back({port, to_sw});
@@ -141,11 +131,9 @@ sim::Bytes Fabric::pfc_headroom_for(const TopoArc& arc) const {
 
 int Fabric::add_switch_port(int switch_idx, const TopoArc& arc, FabricSwitch::PortSink sink,
                             bool cross_cell) {
-  // Coalesced drains fold the edge's propagation into the delivery event;
-  // per-packet mode relays it inside the sink instead. Cross-cell ports
-  // carry it in the channel due stamp, so neither applies.
-  const sim::Time extra =
-      (coalesced_ && !cross_cell) ? arc.delay : sim::Time::zero();
+  // The delivery event carries the edge's propagation, except on
+  // cross-cell ports, whose channel due stamp already does.
+  const sim::Time extra = cross_cell ? sim::Time::zero() : arc.delay;
   const int port = switches_[switch_idx]->add_port(arc.link, arc.rate, std::move(sink), extra);
   edge_ports_[arc.link].push_back({switch_idx, port});
   return port;
@@ -175,9 +163,8 @@ net::Link& Fabric::attach_host(net::HostId id, const std::string& host_name, Del
   at.node = host_node;
   at.switch_idx = sw;
   at.edge_delay = up->delay;
-  // Hosts live on their leaf's cell: the uplink Link (and the per-packet
-  // delivery relay below) schedule on the leaf's simulator, which is sim_
-  // itself on a single-simulator build.
+  // Hosts live on their leaf's cell: the uplink Link schedules on the
+  // leaf's simulator, which is sim_ itself on a single-simulator build.
   sim::Simulator& hsim = *sim_of_switch_[sw];
   at.uplink = std::make_unique<net::Link>(hsim, up->link, up->rate, up->delay);
   FabricSwitch* ingress_sw = switches_[sw].get();
@@ -199,24 +186,9 @@ net::Link& Fabric::attach_host(net::HostId id, const std::string& host_name, Del
   at.uplink->set_sink(
       [ingress_sw, in_idx](const net::PacketRef& p) { ingress_sw->ingress(p, in_idx); });
 
-  // Switch->host delivery port rides the reverse arc (same rate/delay by
-  // the symmetry validation).
-  FabricSwitch::PortSink sink;
-  if (coalesced_) {
-    sink = std::move(deliver);
-  } else {
-    // The scheduled relay captures the sink's own `deliver` by reference:
-    // the port (and its sink) outlive every in-flight event, and a
-    // by-value copy of a std::function per packet could heap-allocate.
-    const sim::Time delay = up->delay;
-    sim::Simulator* hop_sim = &hsim;
-    sink = [hop_sim, delay, deliver = std::move(deliver)](const net::PacketRef& p) {
-      hop_sim->after(delay, [&d = deliver, p] { d(p); });
-    };
-  }
-  // Reuse the uplink arc for port naming/rate: the reverse arc is
-  // guaranteed symmetric.
-  at.host_port = add_switch_port(sw, *up, std::move(sink));
+  // Switch->host delivery port: reuse the uplink arc for naming, rate and
+  // delay — the reverse arc is guaranteed symmetric.
+  at.host_port = add_switch_port(sw, *up, std::move(deliver));
   if (cfg_.pfc_enabled) {
     // Reverse direction: the host NIC (watermark via host_pause_request)
     // can pause the leaf's delivery port toward it.
@@ -243,9 +215,7 @@ void Fabric::attach_host_direct(net::HostId id, const std::string& host_name, De
   // The whole one-way delay rides the delivery port (host->switch ingress
   // is synchronous), so end-to-end latency matches a single fixed-delay
   // pipe of the edge's delay.
-  at.host_port =
-      switches_[sw]->add_port(up->link, up->rate, std::move(deliver), up->delay);
-  edge_ports_[up->link].push_back({sw, at.host_port});
+  at.host_port = add_switch_port(sw, *up, std::move(deliver));
   hosts_.emplace(id, std::move(at));
 }
 

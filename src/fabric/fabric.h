@@ -31,9 +31,10 @@
 // no RNG. Per-switch RNG seeds (forwarding jitter) are differentiated
 // deterministically from the base config seed.
 //
-// Drain modes mirror exp::Scenario: coalesced (default) folds inter-hop
-// propagation into the upstream switch's delivery event; per-packet
-// schedules an explicit relay per hop. Arrival times are identical.
+// Delivery schedule: every switch port's delivery event carries the
+// downstream arc's propagation (FabricSwitch::add_port's extra delay), so
+// a hop costs no relay event; cross-cell ports carry it in the channel's
+// due stamp instead.
 #pragma once
 
 #include <functional>
@@ -58,7 +59,7 @@ namespace hostcc::fabric {
 // through a channel obtained from `make_channel` instead of a direct port
 // sink. A 1-cell plan, or no plan at all, builds every switch on the
 // constructor's simulator: exp::FabricScenario passes its 1-cell plan for
-// star topologies, and the unit testbeds use the hook-free constructor.
+// star topologies, and the unit testbeds pass no hooks.
 struct FabricShardHooks {
   const ShardPlan* plan = nullptr;
   // Returns the simulator that owns `cell`.
@@ -77,15 +78,11 @@ class Fabric {
   using DeliverFn = std::function<void(const net::PacketRef&)>;
 
   // Validates `topo` (throws std::invalid_argument, aggregated) and builds
-  // every switch and switch-switch port on `sim` (unit testbeds).
-  Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg,
-         bool coalesced_drains = true);
-
-  // Sharded build: switches live on their cell's simulator and cross-cell
-  // arcs hand off through `hooks.make_channel`. `sim` remains the default
-  // simulator for cell 0 / fallback accessors.
-  Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, bool coalesced_drains,
-         FabricShardHooks hooks);
+  // every switch and switch-switch port. Without active `hooks` everything
+  // lives on `sim` (unit testbeds); with them, switches live on their
+  // cell's simulator, cross-cell arcs hand off through
+  // `hooks.make_channel`, and `sim` stays the cell-0 / fallback simulator.
+  Fabric(sim::Simulator& sim, Topology topo, FabricSwitchConfig cfg, FabricShardHooks hooks = {});
 
   // Attaches a full host: an uplink net::Link (host-side serialization +
   // propagation, named after the topology edge so faults can address it)
@@ -203,7 +200,6 @@ class Fabric {
   sim::Simulator& sim_;
   Topology topo_;
   FabricSwitchConfig cfg_;
-  bool coalesced_;
 
   std::vector<std::unique_ptr<FabricSwitch>> switches_;
   std::vector<int> switch_of_node_;  // topology node -> switches_ index or -1

@@ -25,8 +25,8 @@
 //   * Ports carry their own rate: egress serialization happens here (a
 //     switch-switch hop needs no separate net::Link). rate zero = ideal
 //     port (serialization-free) for unit testbeds. Propagation to the next
-//     hop rides extra_delay (coalesced drains) or a relay the owner wires
-//     (per-packet mode) — identical delivery times either way.
+//     hop rides the port's extra_delay: the delivery event lands at the
+//     downstream arrival time, so a hop costs no separate relay event.
 //
 // Ledger (audited by faults::FabricInvariantChecker): every admitted byte
 // is either still queued or was drained to serialization, i.e.
@@ -124,7 +124,7 @@ class FabricSwitch {
 
   // Adds an egress port; returns its index. `rate` zero = ideal
   // (serialization-free). `delivery_extra` folds the downstream
-  // propagation into the delivery event (coalesced drains).
+  // propagation into the delivery event.
   int add_port(std::string port_name, sim::Bandwidth rate, PortSink sink,
                sim::Time delivery_extra = sim::Time::zero()) {
     Port port;
@@ -458,7 +458,7 @@ class FabricSwitch {
     std::uint64_t marks = 0;
     std::uint64_t tx_bytes = 0;
     sim::Time last_out;
-    sim::Time extra_delay;  // folded downstream propagation (coalesced)
+    sim::Time extra_delay;  // folded downstream propagation
     // PFC state (lossless mode): pause_in is the real protocol pause the
     // downstream applied; forced_pause is the pause_storm overlay.
     bool pause_in[net::kPfcPriorities] = {};

@@ -1,6 +1,7 @@
-// Bench CLI parsing: shared flags in both forms, binary-specific extras,
-// and the aggregated unknown-flag error naming every typo plus the full
-// valid set.
+// Bench CLI parsing: declared flags in both forms, binary-specific
+// extras, and the aggregated unknown-flag error naming every typo plus
+// the full valid set. Each case declares the flags it parses, as a bench
+// main does.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -19,19 +20,27 @@ BenchOpts parse(std::vector<const char*> args,
                           const_cast<char**>(args.data()), extra);
 }
 
+// What a sweep main that also runs fabric configurations declares.
+BenchOpts parse_sweep(std::vector<const char*> args) {
+  return parse(std::move(args), {"--jobs", "--shards"});
+}
+
 TEST(BenchCliTest, ParsesSharedFlagsInBothForms) {
-  const BenchOpts a = parse({"--quick", "--jobs", "4", "--shards", "2"});
+  const BenchOpts a = parse_sweep({"--quick", "--jobs", "4", "--shards", "2"});
   EXPECT_TRUE(a.quick);
   EXPECT_EQ(a.jobs, 4);
   EXPECT_EQ(a.shards, 2);
-  const BenchOpts b = parse({"--jobs=0", "--shards=8"});
+  const BenchOpts b = parse_sweep({"--jobs=0", "--shards=8"});
   EXPECT_FALSE(b.quick);
   EXPECT_EQ(b.jobs, 0);
   EXPECT_EQ(b.shards, 8);
-  const BenchOpts c = parse({});
+  const BenchOpts c = parse_sweep({});
   EXPECT_EQ(c.jobs, 1);
   EXPECT_EQ(c.shards, 1);
-  EXPECT_THROW(parse({"--shards", "0"}), std::invalid_argument);
+  EXPECT_THROW(parse_sweep({"--shards", "0"}), std::invalid_argument);
+  // A binary that declares neither rejects both.
+  EXPECT_THROW(parse({"--jobs", "2"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--shards", "2"}), std::invalid_argument);
 }
 
 TEST(BenchCliTest, ExtraFlagsAreAcceptedWithAndWithoutValues) {
@@ -43,7 +52,7 @@ TEST(BenchCliTest, ExtraFlagsAreAcceptedWithAndWithoutValues) {
 
 TEST(BenchCliTest, UnknownFlagsAggregateIntoOneError) {
   try {
-    parse({"--qiuck", "--jobs", "2", "--shard", "1", "--bogus=7"});
+    parse_sweep({"--qiuck", "--jobs", "2", "--shard", "1", "--bogus=7"});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -69,7 +78,7 @@ TEST(BenchCliTest, ErrorListsDeclaredExtraFlagsAsValid) {
 
 TEST(BenchCliTest, ValueAttachmentDoesNotSwallowFlags) {
   // "--quick" after "--jobs" must stay a flag, not become jobs' value.
-  const BenchOpts o = parse({"--jobs", "--quick"});
+  const BenchOpts o = parse_sweep({"--jobs", "--quick"});
   EXPECT_TRUE(o.quick);
   EXPECT_EQ(o.jobs, 0);  // atoi("") — explicit value absent
 }
@@ -89,7 +98,8 @@ TEST(BenchCliTest, DeclaredExtrasComeBackInTheirFields) {
 
 TEST(BenchCliTest, BadValuesAggregateWithUnknownFlags) {
   try {
-    parse({"--quik", "--jobs", "x", "--shards=2x", "--telemetry"}, {"--telemetry"});
+    parse({"--quik", "--jobs", "x", "--shards=2x", "--telemetry"},
+          {"--jobs", "--shards", "--telemetry"});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();

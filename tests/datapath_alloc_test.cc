@@ -58,14 +58,8 @@ TEST(DatapathAllocTest, WarmScenarioSliceWithHostCcDoesNotAllocate) {
   ExpectZeroAllocSlice(std::move(cfg));
 }
 
-TEST(DatapathAllocTest, PerPacketDrainModeDoesNotAllocateEither) {
-  ScenarioConfig cfg = warm_cfg();
-  cfg.coalesced_drains = false;  // the seed's per-packet relay path
-  ExpectZeroAllocSlice(std::move(cfg));
-}
-
 // Multi-switch hop: a warm slice crossing leaf -> spine -> leaf (shared-
-// buffer DT admission, ECMP pick, coalesced inter-switch delivery) must be
+// buffer DT admission, ECMP pick, inter-switch delivery) must be
 // just as heap-free as the single-star path.
 TEST(DatapathAllocTest, WarmFabricSliceAcrossTwoSwitchHopsDoesNotAllocate) {
   FabricScenarioConfig cfg;

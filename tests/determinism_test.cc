@@ -4,8 +4,7 @@
 //  - SweepRunner output is invariant to --jobs (parallel == serial);
 //  - fabric runs are invariant to --shards: every N >= 1 produces
 //    exactly the bytes N = 1 does (results, telemetry CSV, Chrome trace,
-//    flow CSV, decisions CSV), fault plans included. The suite runs in
-//    both HOSTCC_DRAIN_MODEs in CI, so the contract is checked per mode.
+//    flow CSV, decisions CSV), fault plans included.
 #include <gtest/gtest.h>
 
 #include <functional>

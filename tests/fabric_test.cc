@@ -2,8 +2,7 @@
 // flow affinity, shared-buffer DT and static per-port admission, the
 // single-star switch's forwarding (routing, ECN, drop-tail, port rate,
 // no-route drops), edge-name faults, and rack-scale FabricScenario
-// determinism (byte-identical fixed-seed runs in both drain modes, with
-// and without faults).
+// determinism (byte-identical fixed-seed runs, with and without faults).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -433,14 +432,13 @@ std::string serialize(const exp::FabricScenarioResults& r) {
   return os.str();
 }
 
-exp::FabricScenarioConfig mini_fabric_config(bool coalesced) {
+exp::FabricScenarioConfig mini_fabric_config() {
   exp::FabricScenarioConfig cfg;
   cfg.topology = "leaf-spine:2x2";
   cfg.hostcc_enabled = true;
   cfg.mapp_degree = 2.0;
   cfg.warmup = sim::Time::milliseconds(1);
   cfg.measure = sim::Time::milliseconds(2);
-  cfg.coalesced_drains = coalesced;
   return cfg;
 }
 
@@ -461,20 +459,18 @@ FabricArtifacts run_fabric_once(exp::FabricScenarioConfig cfg) {
   return a;
 }
 
-TEST(FabricDeterminismTest, RepeatedRunsAreByteIdenticalInBothDrainModes) {
-  for (const bool coalesced : {true, false}) {
-    const FabricArtifacts a = run_fabric_once(mini_fabric_config(coalesced));
-    const FabricArtifacts b = run_fabric_once(mini_fabric_config(coalesced));
-    EXPECT_EQ(a.results, b.results) << "coalesced=" << coalesced;
-    EXPECT_EQ(a.events, b.events) << "coalesced=" << coalesced;
-    EXPECT_EQ(a.metrics, b.metrics) << "coalesced=" << coalesced;
-    EXPECT_NE(a.results.find(','), std::string::npos);
-  }
+TEST(FabricDeterminismTest, RepeatedRunsAreByteIdentical) {
+  const FabricArtifacts a = run_fabric_once(mini_fabric_config());
+  const FabricArtifacts b = run_fabric_once(mini_fabric_config());
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_NE(a.results.find(','), std::string::npos);
 }
 
 TEST(FabricDeterminismTest, FaultRunsAreByteIdentical) {
   const auto cfg_with_faults = [] {
-    exp::FabricScenarioConfig cfg = mini_fabric_config(true);
+    exp::FabricScenarioConfig cfg = mini_fabric_config();
     EXPECT_FALSE(cfg.faults.add_spec("link_down@1200+300:h2-leaf1").has_value());
     EXPECT_FALSE(cfg.faults.add_spec("link_degrade@500+800:0.25:leaf0-spine1").has_value());
     EXPECT_FALSE(cfg.faults.add_spec("port_down@800+400:leaf1-spine0").has_value());
@@ -486,16 +482,8 @@ TEST(FabricDeterminismTest, FaultRunsAreByteIdentical) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.metrics, b.metrics);
   // The faulted run must actually diverge from the clean one.
-  const FabricArtifacts clean = run_fabric_once(mini_fabric_config(true));
+  const FabricArtifacts clean = run_fabric_once(mini_fabric_config());
   EXPECT_NE(a.results, clean.results);
-}
-
-TEST(FabricDeterminismTest, DrainModesAgreeOnDeliveredTraffic) {
-  // Arrival *times* are identical across drain modes by construction; the
-  // event structure differs. Goodput and drops must agree.
-  const FabricArtifacts a = run_fabric_once(mini_fabric_config(true));
-  const FabricArtifacts b = run_fabric_once(mini_fabric_config(false));
-  EXPECT_EQ(a.results, b.results);
 }
 
 // --- incast drop band (EXPERIMENTS.md deviation #6) ---
@@ -504,7 +492,7 @@ TEST(FabricDeterminismTest, DrainModesAgreeOnDeliveredTraffic) {
 // metrics count each plan event once: applied if any cell applied it,
 // skipped only if none did.
 TEST(FabricScenarioTest, FaultMetricsCountEachPlanEventOnceAcrossCells) {
-  exp::FabricScenarioConfig cfg = mini_fabric_config(true);
+  exp::FabricScenarioConfig cfg = mini_fabric_config();
   for (const char* spec : {"link_down@1200+300:leaf0-spine0",       // switch-switch edge
                            "link_degrade@1300+300:0.5:h1-leaf0",    // host uplink edge
                            "msr_stall@1400+300:50",                 // host 0's MSRs, one cell

@@ -5,14 +5,11 @@
 //  - promotion mid-incast transfers transport state exactly (every
 //    closed-loop message's bytes are delivered, conservation ledgers
 //    balance, and the victim later demotes back to the flow-level tier);
-//  - pure-analytic runs are invariant to HOSTCC_DRAIN_MODE (no
-//    packet-level host exists, so the NIC drain knob must be moot);
 //  - fault-plan validation names the host tier for surfaces the analytic
 //    tier doesn't model, and a pause_storm on an analytic host's uplink
 //    forces promotion under --fidelity auto instead of no-opping.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -154,33 +151,6 @@ TEST(FidelityTest, PromotionMidIncastTransfersStateExactly) {
     ASSERT_NE(fs.slot(0).full_host(), nullptr);
     EXPECT_TRUE(fs.slot(0).full_host()->parked());
   }
-}
-
-// With no packet-level host anywhere, the NIC drain-mode knob must not
-// change a single byte of the results.
-TEST(FidelityTest, AnalyticModeInvariantToDrainMode) {
-  const char* saved = std::getenv("HOSTCC_DRAIN_MODE");
-  const std::string saved_val = saved ? saved : "";
-
-  exp::FabricScenarioConfig cfg;
-  cfg.topology = "leaf-spine:2x4";
-  cfg.fidelity = exp::HostFidelity::kAnalytic;
-  cfg.flow_bytes = 64 * 1024;
-  cfg.record_flow_stats = true;
-  cfg.warmup = sim::Time::milliseconds(1);
-  cfg.measure = sim::Time::milliseconds(2);
-
-  ::setenv("HOSTCC_DRAIN_MODE", "coalesced", 1);
-  const Artifacts a = run_once(cfg);
-  ::setenv("HOSTCC_DRAIN_MODE", "per_packet", 1);
-  const Artifacts b = run_once(cfg);
-  if (saved) {
-    ::setenv("HOSTCC_DRAIN_MODE", saved_val.c_str(), 1);
-  } else {
-    ::unsetenv("HOSTCC_DRAIN_MODE");
-  }
-  EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.flows, b.flows);
 }
 
 TEST(FidelityTest, AnalyticRejectsControllerWithTierNamed) {

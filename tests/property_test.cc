@@ -21,11 +21,16 @@ struct LoadCase {
   std::uint64_t seed;
 };
 
-std::string case_name(const ::testing::TestParamInfo<LoadCase>& info) {
-  return "d" + std::to_string(static_cast<int>(info.param.degree)) +
-         (info.param.ddio ? "_ddio" : "_noddio") + "_mtu" + std::to_string(info.param.mtu) +
-         "_s" + std::to_string(info.param.seed);
+std::string name_of(const LoadCase& c) {
+  return "d" + std::to_string(static_cast<int>(c.degree)) + (c.ddio ? "_ddio" : "_noddio") +
+         "_mtu" + std::to_string(c.mtu) + "_s" + std::to_string(c.seed);
 }
+std::string case_name(const ::testing::TestParamInfo<LoadCase>& info) {
+  return name_of(info.param);
+}
+// Without it gtest prints the parameter as a raw byte dump, padding
+// included, into every test name.
+void PrintTo(const LoadCase& c, std::ostream* os) { *os << name_of(c); }
 
 class ConservationProperty : public ::testing::TestWithParam<LoadCase> {};
 

@@ -286,7 +286,8 @@ Cli scan(int argc, char** argv, std::vector<std::string>& errs) {
 }
 
 // Fabric mode: the scenario file (or the defaults), then every fabric
-// flag as its [fabric] key, in command-line order.
+// flag as its [fabric] key, in command-line order; the result's
+// FabricScenario validation errors join `errs`.
 exp::FabricScenarioConfig fabric_config(const Cli& cli, std::vector<std::string>& errs) {
   exp::FabricScenarioConfig cfg;
   // Without a file --degree defaults to 0, as in star mode; a file keeps
@@ -305,6 +306,7 @@ exp::FabricScenarioConfig fabric_config(const Cli& cli, std::vector<std::string>
       errs.push_back(std::string(flag->name) + ": " + *e);
     }
   }
+  for (std::string& e : exp::validate(cfg)) errs.push_back(std::move(e));
   return cfg;
 }
 

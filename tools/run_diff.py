@@ -13,8 +13,8 @@ and a sharded run of the same config should diff clean on physics.
 
 By default the comparison is **exact**: any numeric field that differs
 at all is flagged and makes the exit status non-zero. That is the right
-gate for determinism contracts (legacy vs --shards N, repeat runs,
-drain modes), where the physics must match bit for bit. `--tolerance F`
+gate for determinism contracts (--shards 1 vs --shards N, repeat
+runs), where the physics must match bit for bit. `--tolerance F`
 switches to approximate mode — a field is flagged only when its
 relative change exceeds F — for comparisons where small divergence is
 the *expected* result being measured, e.g. a hybrid `--fidelity auto`
