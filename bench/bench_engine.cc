@@ -156,10 +156,12 @@ void BM_MemControllerQuantum(benchmark::State& state) {
 }
 BENCHMARK(BM_MemControllerQuantum);
 
-// The memory-controller quantum of an idle host: the always-on per-host
-// lane of every full HostModel with nothing to do (in a 64-host incast,
-// ~96% of all quanta). A short burst loads the controller's EWMAs; each
-// iteration then times 10 ms (100k quanta) of idle simulated time. The
+// The memory-controller quantum of an idle host: the per-host lane of
+// every full HostModel with nothing to do (in a 64-host incast, ~96% of
+// all quanta). A short burst loads the controller's EWMAs; each iteration
+// then times 10 ms (100k quanta) of idle simulated time. The lane sleeps
+// after a few idle quanta and its decays are replayed on the next read,
+// so the window ends with one read: the deferred decay is timed too. The
 // zero-sample decays pass the subnormal range and reach 0 after ~36k
 // quanta; the rest are settled quanta, as in a sender that stays idle.
 // items/sec is idle quanta per second, gated against
@@ -194,6 +196,7 @@ void BM_MemControllerIdleQuantum(benchmark::State& state) {
     }
     state.ResumeTiming();
     h->sim.run_until(h->sim.now() + idle);
+    benchmark::DoNotOptimize(h->host.memctrl().utilization());
   }
   state.SetItemsProcessed(state.iterations() * quanta);
 }

@@ -17,6 +17,14 @@ std::uint64_t mix_host_seed(std::uint64_t seed, std::uint64_t idx) {
   return x ^ (x >> 31);
 }
 
+// "<origin> '<spec>': " for a fault parsed from a spec, so an error about
+// it names the flag or scenario-file line to fix; empty for one built in
+// code.
+std::string fault_source(const faults::FaultEvent& ev) {
+  if (ev.spec.empty()) return "";
+  return (ev.origin.empty() ? "" : ev.origin + " ") + "'" + ev.spec + "': ";
+}
+
 }  // namespace
 
 std::vector<std::string> validate(const FabricScenarioConfig& cfg,
@@ -131,7 +139,7 @@ std::vector<std::string> validate(const FabricScenarioConfig& cfg,
           if (!known.empty()) known += ", ";
           known += a.link;
         }
-        errs.push_back(std::string("fault ") + faults::fault_kind_name(ev.kind) + ": edge '" +
+        errs.push_back(fault_source(ev) + "fault " + faults::fault_kind_name(ev.kind) + ": edge '" +
                        ev.target_edge + "' does not exist in topology '" + cfg.topology +
                        "' (known edges: " + known + ")");
       }
@@ -161,8 +169,8 @@ std::vector<std::string> validate(const FabricScenarioConfig& cfg,
           if (!hit.empty()) break;
         }
         if (!hit.empty()) {
-          errs.push_back(std::string("fault ") + faults::fault_kind_name(ev.kind) + ": edge '" +
-                         ev.target_edge + "' reaches host '" + hit +
+          errs.push_back(fault_source(ev) + "fault " + faults::fault_kind_name(ev.kind) +
+                         ": edge '" + ev.target_edge + "' reaches host '" + hit +
                          "', an analytic-tier host under --fidelity analytic — pause cannot "
                          "back-pressure the flow-level tier (use --fidelity auto, where the "
                          "storm forces promotion to the full tier)");

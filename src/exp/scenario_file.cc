@@ -312,7 +312,11 @@ FabricScenarioConfig parse_scenario_text(const std::string& text, const std::str
                              "[workload], or [rpc])");
         break;
       case Section::kFabric:
-        if (auto err = set_fabric_key(cfg, key, val)) errs.add(lineno, *err);
+        if (auto err = set_fabric_key(cfg, key, val)) {
+          errs.add(lineno, *err);
+        } else if (key == "fault") {
+          cfg.faults.events.back().origin = origin + ":" + std::to_string(lineno);
+        }
         break;
       case Section::kWorkload:
         apply_workload_key(cfg, key, val, lineno, errs);

@@ -102,6 +102,12 @@ struct FaultEvent {
   // Fabric topologies address link/port faults by edge name ("h0-leaf0");
   // non-empty takes precedence over the numeric target.
   std::string target_edge;
+  // The spec text this event was parsed from, and where that spec came
+  // from ("--fault" or "<file>:<line>", stamped by the caller of add_spec),
+  // so validation errors can name what to fix. Empty for events built in
+  // code.
+  std::string spec;
+  std::string origin;
 
   sim::Time end() const { return duration > sim::Time::zero() ? start + duration : sim::Time::max(); }
 };
@@ -165,6 +171,7 @@ inline std::optional<std::string> FaultPlan::add_spec(const std::string& spec) {
 
   FaultEvent ev;
   ev.kind = *kind;
+  ev.spec = spec;
   // A field parses as a number only if it consumes entirely; anything else
   // is a topology edge name ("h0-leaf0").
   const auto as_number = [](const std::string& f) -> std::optional<double> {

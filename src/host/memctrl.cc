@@ -8,11 +8,14 @@ namespace hostcc::host {
 void MemoryController::quantum() {
   obs::ProfScope scope(prof_);
   // Idle with nothing host-local to poll: every offer is known to be zero.
-  // Once the EWMAs have settled at 0 the quantum changes nothing at all.
+  // Once the EWMAs have settled at 0 the quantum changes nothing at all,
+  // and after a few such quanta the lane sleeps until a wake.
   if (idle_ && host_local_sources_ == 0) {
-    if (!settled_) decay_idle();
+    decay_idle(1);
+    if (++idle_quanta_ == kSleepAfterIdleQuanta) timer_.sleep();
     return;
   }
+  idle_quanta_ = 0;
   const sim::Time now = sim_.now();
   const double cap = quantum_cap_bytes_;
 
@@ -48,7 +51,7 @@ void MemoryController::quantum() {
   // IIO write delivering to the CPU) must not be overwritten.
   idle_ = !network_busy;
   if (total_pressure == 0.0) {
-    if (!settled_) decay_idle();
+    decay_idle(1);
     return;
   }
   settled_ = false;
@@ -96,22 +99,32 @@ void MemoryController::quantum() {
   update_latency(total_pressure);
 }
 
-// A quantum in which no source offered anything. The water-fill would
-// grant nothing, so only the zero-sample EWMA updates remain; they are
-// bit-identical to the full quantum's (every grant and rho is +0.0).
-void MemoryController::decay_idle() {
-  bool all_zero = true;
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    rate_ewma_[i].add(0.0);
-    pressure_ewma_[i].add(0.0);
-    all_zero = all_zero && rate_ewma_[i].value() == 0.0 && pressure_ewma_[i].value() == 0.0;
+// `quanta` quanta in which no source offered anything. The water-fill
+// would grant nothing, so only the zero-sample EWMA updates remain; they
+// are bit-identical to the full quantum's (every grant and rho is +0.0).
+// All EWMAs advance together, one quantum per pass, so their independent
+// decay chains overlap; the passes stop once every value is exactly 0,
+// after which a quantum changes nothing. The latency model reads only the
+// last pass's state.
+void MemoryController::decay_idle(std::uint64_t quanta) const {
+  if (settled_) return;
+  const std::size_t n = sources_.size();
+  bool all_zero = false;
+  for (; quanta > 0 && !all_zero; --quanta) {
+    all_zero = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      rate_ewma_[i].add(0.0);
+      pressure_ewma_[i].add(0.0);
+      all_zero = all_zero && rate_ewma_[i].value() == 0.0 && pressure_ewma_[i].value() == 0.0;
+    }
+    util_ewma_.add(0.0);
+    all_zero = all_zero && util_ewma_.value() == 0.0;
   }
-  util_ewma_.add(0.0);
   update_latency(0.0);
-  settled_ = all_zero && util_ewma_.value() == 0.0;
+  settled_ = all_zero;
 }
 
-void MemoryController::update_latency(double total_pressure) {
+void MemoryController::update_latency(double total_pressure) const {
   const auto& curve = HostConfig::kDramExtraCurve;
   constexpr std::size_t kPoints = std::size(curve);
   const double u = std::clamp(util_ewma_.value(), curve[0].util, curve[kPoints - 1].util);

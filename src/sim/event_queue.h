@@ -110,6 +110,13 @@ class EventQueue {
   // pushed tick event would have had.
   std::uint64_t take_seq() { return next_seq_++; }
 
+  // Claims the next `n` sequence numbers at once; returns the first.
+  std::uint64_t take_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
   // Pops the earliest live event and invokes it in one step, skipping the
   // move-out/destroy round trip of pop(). Caller must have established via
   // next_time() that a live event is at the top. The slot is released

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "alloc_hook.h"
 #include "net/packet.h"
+#include "sim/random.h"
 
 namespace hostcc::sim {
 namespace {
@@ -289,6 +292,212 @@ TEST(PeriodicTimerTest, StopInsideCallbackIsSafe) {
   t.start();
   sim.run_until(Time::milliseconds(1));
   EXPECT_EQ(fired, 2);
+}
+
+
+TEST(PeriodicTimerTest, SleepingLaneStopsDispatchButKeepsItsCadence) {
+  Simulator sim;
+  std::vector<double> fire_us;
+  PeriodicTimer t(sim, Time::microseconds(10), [&] { fire_us.push_back(sim.now().us()); });
+  t.start();
+  sim.run_until(Time::microseconds(15));
+  t.sleep();
+  sim.run_until(Time::microseconds(52));  // ticks at 20..50 fire asleep
+  EXPECT_EQ(t.skipped(), 4u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  t.wake();
+  sim.run_until(Time::microseconds(70));
+  EXPECT_EQ(fire_us, (std::vector<double>{10.0, 60.0, 70.0}));
+  EXPECT_EQ(t.take_skipped(), 4u);
+  EXPECT_EQ(t.skipped(), 0u);
+}
+
+TEST(SimulatorTest, RunReturnsWhenOnlySleepingLanesRemain) {
+  Simulator sim;
+  int fired = 0;
+  PeriodicTimer* tp = nullptr;
+  PeriodicTimer t(sim, Time::microseconds(1), [&] {
+    if (++fired == 3) tp->sleep();  // from inside its own tick
+  });
+  tp = &t;
+  t.start();
+  sim.after(Time::microseconds(7) + Time::picoseconds(1), [] {});
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), Time::microseconds(7) + Time::picoseconds(1));
+  EXPECT_EQ(t.skipped(), 4u);  // 4..7us, caught up before the last event
+  t.wake();
+  sim.run_until(Time::microseconds(9));
+  EXPECT_EQ(fired, 5);
+}
+
+// Differential check of sleeping lanes against lanes that stay awake and
+// run no-op ticks while "asleep". Random heap events land on and off the
+// lanes' tick grid, so ties between a lane tick and a heap event are
+// common; lanes sleep and wake at random from heap events, from other
+// lanes' ticks, from inside their own tick and between run_until() calls,
+// and are stopped, restarted and re-periodized. Every dispatched
+// (time, id) must match between the two runs, and every no-op tick of the
+// reference must be a skipped tick of the sleeping run.
+class SleepDifferential {
+ public:
+  SleepDifferential(std::uint64_t seed, bool sleep_for_real, bool mixed_periods)
+      : rng_(seed), real_(sleep_for_real), mixed_(mixed_periods) {
+    for (int i = 0; i < kLanes; ++i) {
+      lanes_.push_back(std::make_unique<PeriodicTimer>(sim_, period_of(i, false),
+                                                       [this, i] { tick(i); }));
+    }
+    asleep_.assign(kLanes, false);
+    noop_ticks_.assign(kLanes, 0);
+  }
+
+  void run() {
+    for (auto& l : lanes_) l->start();
+    for (int i = 0; i < 40; ++i) schedule();
+    Time t = Time::zero();
+    while (t < kHorizon) {
+      // Deadlines land on the grid about half of the time.
+      t = t + Time::picoseconds(rng_.uniform_int(0, 1) == 0 ? kGrid * rng_.uniform_int(1, 40)
+                                                            : rng_.uniform_int(1, 4000));
+      sim_.run_until(t);
+      if (rng_.uniform_int(0, 2) == 0) act();  // from outside the run loop
+      schedule();
+    }
+    sim_.run_until(kHorizon + Time::picoseconds(kGrid * 20));
+  }
+
+  std::vector<std::tuple<std::int64_t, int>> log;
+  std::uint64_t events() const { return sim_.events_executed(); }
+  std::uint64_t skipped(int lane) const { return lanes_[lane]->skipped() + taken_[lane]; }
+  std::uint64_t noop_ticks(int lane) const { return noop_ticks_[lane]; }
+  static constexpr int kLanes = 4;
+
+ private:
+  static constexpr std::int64_t kGrid = 100;
+  static constexpr Time kHorizon = Time::picoseconds(400000);
+
+  Time period_of(int lane, bool alt) const {
+    const std::int64_t base = mixed_ && lane == kLanes - 1 ? 3 * kGrid / 2 : kGrid;
+    return Time::picoseconds(alt ? 2 * base : base);
+  }
+
+  void tick(int i) {
+    if (!real_ && asleep_[i]) {
+      ++noop_ticks_[i];
+      return;
+    }
+    log.emplace_back(sim_.now().ps(), -1 - i);
+    const std::int64_t r = rng_.uniform_int(0, 9);
+    if (r == 0) {
+      set_asleep(i, true);  // put itself to sleep
+    } else if (r == 1) {
+      set_asleep(i, true);
+      set_asleep(i, false);  // and straight back
+    } else if (r <= 3) {
+      act();
+    }
+    if (rng_.uniform_int(0, 3) == 0) schedule();
+  }
+
+  void event(int id) {
+    log.emplace_back(sim_.now().ps(), id);
+    if (rng_.uniform_int(0, 2) == 0) act();
+    const std::int64_t n = rng_.uniform_int(0, 2);
+    for (std::int64_t k = 0; k < n; ++k) schedule();
+  }
+
+  void schedule() {
+    if (next_id_ >= 6000) return;
+    const std::int64_t now = sim_.now().ps();
+    std::int64_t when = now;
+    switch (rng_.uniform_int(0, 3)) {
+      case 0: break;  // same instant
+      case 1: when += rng_.uniform_int(1, kGrid - 1); break;
+      case 2: when = (now / kGrid + 1 + rng_.uniform_int(0, 30)) * kGrid; break;  // on the grid
+      default: when += rng_.uniform_int(1, 5000); break;
+    }
+    const int id = next_id_++;
+    sim_.at(Time::picoseconds(when), [this, id] { event(id); });
+  }
+
+  // One random lane operation.
+  void act() {
+    const int i = static_cast<int>(rng_.uniform_int(0, kLanes - 1));
+    switch (rng_.uniform_int(0, 9)) {
+      case 0:
+        lanes_[i]->stop();
+        asleep_[i] = false;
+        break;
+      case 1:
+        if (!lanes_[i]->running()) lanes_[i]->start();
+        break;
+      case 2: {
+        // With equal periods every lane changes at once, so they stay equal.
+        const bool alt = lanes_[i]->period() == period_of(i, false);
+        if (mixed_) {
+          lanes_[i]->set_period(period_of(i, alt));
+        } else {
+          for (int j = 0; j < kLanes; ++j) lanes_[j]->set_period(period_of(j, alt));
+        }
+        break;
+      }
+      default:
+        set_asleep(i, !asleep_[i]);
+        break;
+    }
+  }
+
+  void set_asleep(int i, bool on) {
+    if (!lanes_[i]->running() || asleep_[i] == on) return;
+    asleep_[i] = on;
+    if (!real_) return;
+    if (on) {
+      lanes_[i]->sleep();
+    } else {
+      lanes_[i]->wake();
+      taken_[i] += lanes_[i]->take_skipped();
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  bool real_;
+  bool mixed_;
+  std::vector<std::unique_ptr<PeriodicTimer>> lanes_;
+  std::vector<bool> asleep_;
+  std::vector<std::uint64_t> noop_ticks_;
+  std::uint64_t taken_[kLanes] = {};
+  int next_id_ = 0;
+};
+
+void expect_sleep_matches_noop_ticks(bool mixed_periods) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SleepDifferential asleep(seed, true, mixed_periods);
+    SleepDifferential awake(seed, false, mixed_periods);
+    asleep.run();
+    awake.run();
+    ASSERT_GT(asleep.log.size(), 1000u) << "seed " << seed;
+    const auto diverged = std::mismatch(asleep.log.begin(), asleep.log.end(), awake.log.begin(),
+                                        awake.log.end());
+    ASSERT_TRUE(diverged.first == asleep.log.end() && diverged.second == awake.log.end())
+        << "seed " << seed << ": logs diverge at entry " << (diverged.first - asleep.log.begin());
+    std::uint64_t noop = 0;
+    for (int i = 0; i < SleepDifferential::kLanes; ++i) {
+      EXPECT_EQ(asleep.skipped(i), awake.noop_ticks(i)) << "seed " << seed << " lane " << i;
+      noop += awake.noop_ticks(i);
+    }
+    EXPECT_GT(noop, 100u) << "seed " << seed;
+    EXPECT_EQ(asleep.events() + noop, awake.events()) << "seed " << seed;
+  }
+}
+
+TEST(SleepingLaneDifferentialTest, EqualPeriodsDispatchLikeNoOpTicks) {
+  expect_sleep_matches_noop_ticks(false);
+}
+
+TEST(SleepingLaneDifferentialTest, MixedPeriodsDispatchLikeNoOpTicks) {
+  expect_sleep_matches_noop_ticks(true);
 }
 
 }  // namespace

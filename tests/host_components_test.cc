@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iterator>
+#include <string>
 
 #include "apps/mem_app.h"
 #include "host/config.h"
@@ -504,6 +506,126 @@ TEST(MemControllerIdleTest, IdleQuantaMatchZeroSampleEwmaUpdatesBitForBit) {
   EXPECT_EQ(a.polls, 201);
   EXPECT_EQ(mc.overload(), 0.0);
   EXPECT_EQ(mc.granted_rate(0).bits_per_sec(), 0.0);
+}
+
+// Two controllers with one history: `sleeper` has two network-path
+// sources, so once idle its lane sleeps and its quanta are replayed on the
+// next read; `ticker` has the same sources plus a silent host-local one,
+// which keeps its lane dispatching every idle quantum (a poll that finds
+// nothing applies the same zero-sample decay).
+struct SleepPair {
+  struct Side {
+    explicit Side(const HostConfig& cfg, bool keep_ticking) : mc(sim, cfg) {
+      mc.add_source(&a, true);
+      mc.add_source(&b, true);
+      if (keep_ticking) mc.add_source(&silent, false);
+    }
+    sim::Simulator sim;
+    MemoryController mc;
+    SwitchedSource a, b, silent;
+  };
+  HostConfig cfg;
+  Side sleeper{cfg, false};
+  Side ticker{cfg, true};
+
+  template <typename F>
+  void both(F f) {
+    f(sleeper);
+    f(ticker);
+  }
+  void run(double quanta) {
+    both([&](Side& s) { run_quanta(s.sim, cfg, quanta); });
+  }
+  // Loads both controllers, then withdraws every offer.
+  void load_then_idle() {
+    both([](Side& s) {
+      s.a.give(3000);
+      s.b.give(1500);
+    });
+    run(200.5);
+    both([](Side& s) {
+      s.a.offer = {};
+      s.b.offer = {};
+    });
+  }
+};
+
+// Every accessor of smoothed state, bit for bit.
+void expect_same_smoothed_state(SleepPair& p, const std::string& where) {
+  const MemoryController& s = p.sleeper.mc;
+  const MemoryController& t = p.ticker.mc;
+  EXPECT_EQ(s.utilization(), t.utilization()) << where;
+  EXPECT_EQ(s.overload(), t.overload()) << where;
+  EXPECT_EQ(s.extra_latency(), t.extra_latency()) << where;
+  EXPECT_EQ(s.device_latency(), t.device_latency()) << where;
+  EXPECT_EQ(s.queue_wait(), t.queue_wait()) << where;
+  EXPECT_EQ(s.access_latency(), t.access_latency()) << where;
+  EXPECT_EQ(s.source_wait(&p.sleeper.a), t.source_wait(&p.ticker.a)) << where;
+  EXPECT_EQ(s.source_wait(&p.sleeper.b), t.source_wait(&p.ticker.b)) << where;
+  EXPECT_EQ(s.host_local_share(), t.host_local_share()) << where;
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(s.granted_rate(i).bits_per_sec(), t.granted_rate(i).bits_per_sec()) << where;
+    EXPECT_EQ(s.granted_bytes(i), t.granted_bytes(i)) << where;
+  }
+}
+
+TEST(MemControllerIdleTest, SkippedQuantaReplayedOnReadMatchTickedQuantaBitForBit) {
+  for (const int n : {1, 15, 16, 17, 40, 1000, 20000, 60000}) {
+    SleepPair p;
+    p.load_then_idle();
+    const std::uint64_t loaded_events = p.sleeper.sim.events_executed();
+    ASSERT_GT(p.sleeper.mc.granted_rate(0).bits_per_sec(), 1e11);
+    p.run(n);  // nothing reads either controller meanwhile
+    const std::string where = "after " + std::to_string(n) + " idle quanta";
+    expect_same_smoothed_state(p, where);
+    // The sleeper's lane stopped dispatching after the idle streak.
+    const std::uint64_t dispatched = p.sleeper.sim.events_executed() - loaded_events;
+    EXPECT_EQ(dispatched, static_cast<std::uint64_t>(std::min(n, 17))) << where;
+    EXPECT_EQ(p.ticker.sim.events_executed() - loaded_events, static_cast<std::uint64_t>(n));
+  }
+}
+
+TEST(MemControllerIdleTest, WakeAtExactQuantumInstantMatchesTickingLane) {
+  SleepPair p;
+  p.load_then_idle();
+  p.run(100);  // the sleeper's lane is asleep
+  const sim::Time q = p.cfg.mc_quantum;
+  const sim::Time grid = q * std::floor(p.sleeper.sim.now() / q);
+  // One wake scheduled long before its instant (it precedes the tick
+  // there) and one scheduled after that tick drew its seq (it follows).
+  p.both([&](SleepPair::Side& s) {
+    s.sim.at(grid + q * 3, [&s] { s.a.give(2000); });
+    s.sim.at(grid + q * 7.5, [&s, &q, grid] {
+      s.sim.at(grid + q * 9, [&s] { s.b.give(1000); });
+    });
+  });
+  for (int k = 0; k < 14; ++k) {
+    p.run(1);
+    expect_same_smoothed_state(p, "quantum " + std::to_string(k));
+    EXPECT_EQ(p.sleeper.a.polls, p.ticker.a.polls) << "quantum " << k;
+    EXPECT_EQ(p.sleeper.b.polls, p.ticker.b.polls) << "quantum " << k;
+  }
+  EXPECT_GT(p.sleeper.a.granted, 0.0);
+  EXPECT_GT(p.sleeper.b.granted, 0.0);
+}
+
+TEST(MemControllerIdleTest, ParkWhileAsleepReplaysBeforeStopping) {
+  SleepPair p;
+  p.load_then_idle();
+  p.run(50);  // asleep, with skipped quanta pending
+  p.both([](SleepPair::Side& s) { s.mc.set_quantum_active(false); });
+  p.run(500);
+  expect_same_smoothed_state(p, "parked");
+  p.both([](SleepPair::Side& s) {
+    s.a.offer = {800.0, 800.0};
+    s.mc.set_quantum_active(true);
+  });
+  for (int k = 0; k < 5; ++k) {
+    p.run(1);
+    expect_same_smoothed_state(p, "unparked quantum " + std::to_string(k));
+  }
+  EXPECT_EQ(p.sleeper.a.granted, p.ticker.a.granted);
+  EXPECT_GT(p.sleeper.a.granted, 0.0);
 }
 
 // ------------------------------------------------------------------ DDIO

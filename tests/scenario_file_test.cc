@@ -8,6 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/fabric_scenario.h"
 #include "exp/scenario_file.h"
@@ -128,6 +129,25 @@ TEST(ScenarioFileTest, SemanticProblemsAggregateInTheScenarioBuild) {
     EXPECT_NE(msg.find("workload.reuse_cooldown_us"), std::string::npos) << msg;
     EXPECT_NE(msg.find("size_cdf"), std::string::npos) << msg;
   }
+}
+
+TEST(ScenarioFileTest, FaultEdgeErrorsNameTheSpecAndItsLine) {
+  FabricScenarioConfig cfg = parse_scenario_text(
+      "[fabric]\n"
+      "topology = leaf-spine:2x2\n"
+      "fault = link_down@100+100:h0-leaf0\n"
+      "fault = link_down@100+100:nowhere\n",
+      "incast.conf");
+  ASSERT_EQ(cfg.faults.events.size(), 2u);
+  EXPECT_EQ(cfg.faults.events[1].spec, "link_down@100+100:nowhere");
+  EXPECT_EQ(cfg.faults.events[1].origin, "incast.conf:4");
+  const std::vector<std::string> errs = validate(cfg);
+  ASSERT_EQ(errs.size(), 1u);
+  EXPECT_EQ(errs[0].rfind("incast.conf:4 'link_down@100+100:nowhere': fault link_down: edge "
+                          "'nowhere' does not exist",
+                          0),
+            0u)
+      << errs[0];
 }
 
 TEST(ScenarioFileTest, KeysForTheCliOnlyFieldsSetThem) {

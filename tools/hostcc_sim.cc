@@ -36,6 +36,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -304,6 +305,8 @@ exp::FabricScenarioConfig fabric_config(const Cli& cli, std::vector<std::string>
     if (flag->key == nullptr) continue;
     if (Err e = exp::set_fabric_key(cfg, flag->key, val)) {
       errs.push_back(std::string(flag->name) + ": " + *e);
+    } else if (std::string_view(flag->key) == "fault") {
+      cfg.faults.events.back().origin = flag->name;
     }
   }
   for (std::string& e : exp::validate(cfg)) errs.push_back(std::move(e));
