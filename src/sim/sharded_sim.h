@@ -12,13 +12,18 @@
 // measurement boundaries); resuming the same epoch later does not re-fire
 // the hook.
 //
-// Workers: cells are distributed round-robin over min(workers, cells)
-// threads; the calling thread doubles as worker 0. With workers <= 1 the
-// epoch loop runs serially on the caller — same hook sequence, same
-// per-cell event order, byte-identical output (worker count is pure
-// execution policy, never schedule policy). Exceptions from any cell are
-// captured and the lowest-worker-index one rethrown after all threads
-// joined.
+// Workers: min(workers, cells) threads; the calling thread doubles as
+// worker 0. Cells are placed on workers longest-processing-time first by
+// their own measured busy time (place_cells below): on every entry to the
+// parallel loop, and again every kReplaceEpochs epochs inside it, worker
+// 0 re-places them at a quiesced epoch boundary; each worker steps its
+// cells in ascending index order. Before any cell has run, placement is
+// round-robin. A cell's events never depend on which thread runs it, so
+// placement — like the worker count — is pure execution policy, never
+// schedule policy. With workers <= 1 the epoch loop runs serially on the
+// caller — same hook sequence, same per-cell event order, byte-identical
+// output. Exceptions from any cell are captured and the lowest-worker-
+// index one rethrown after all threads joined.
 //
 // The boundary tick (set_boundary_tick) runs single-threaded at a quiesced
 // epoch boundary: after every cell has finished epoch k and before any
@@ -41,6 +46,13 @@
 #include "sim/time.h"
 
 namespace hostcc::sim {
+
+// Longest-processing-time-first placement of cells on `workers` workers.
+// Cells are taken heaviest weight first (ties: lower index first); each
+// goes to the least-loaded worker (ties: fewer cells, then lower worker
+// index), so equal or all-zero weights deal round-robin. Returns one
+// ascending cell list per worker; no list is empty while cells >= workers.
+std::vector<std::vector<int>> place_cells(const std::vector<std::int64_t>& weights, int workers);
 
 class ShardedSimulator {
  public:
@@ -83,9 +95,24 @@ class ShardedSimulator {
   // from the determinism contract like every other wall-clock figure).
   double cell_wall_ms(int i) const { return static_cast<double>(wall_ns_[i]) * 1e-6; }
   double max_cell_wall_ms() const;
+  // Wall-clock worker w spent stepping cells, whichever cells it held.
+  double worker_wall_ms(int w) const {
+    return static_cast<double>(worker_wall_ns_[w]) * 1e-6;
+  }
+
+  // The parallel loop re-places cells every this many epochs of a call.
+  static constexpr std::int64_t kReplaceEpochs = 1024;
 
  private:
-  void step_cell(int c, std::int64_t epoch, Time seg_end, Time window_end);
+  // Returns the wall-clock nanoseconds the step took.
+  std::int64_t step_cell(int c, std::int64_t epoch, Time seg_end, Time window_end);
+  // Counts epoch k once, however many segments it is run in.
+  void count_epoch(std::int64_t k) {
+    if (k != counted_epoch_) {
+      counted_epoch_ = k;
+      ++epochs_entered_;
+    }
+  }
   void run_epochs_serial(Time deadline);
   void run_epochs_parallel(Time deadline);
   // True when the epoch ending at `window_end` completes inside this
@@ -106,6 +133,8 @@ class ShardedSimulator {
   Time now_ = Time::zero();
   std::vector<std::int64_t> cell_epoch_;  // last epoch each cell entered
   std::vector<std::int64_t> wall_ns_;
+  std::vector<std::int64_t> worker_wall_ns_;
+  std::int64_t counted_epoch_ = -1;
   std::uint64_t epochs_entered_ = 0;
 };
 

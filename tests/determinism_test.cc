@@ -4,9 +4,12 @@
 //  - SweepRunner output is invariant to --jobs (parallel == serial);
 //  - fabric runs are invariant to --shards: every N >= 1 produces
 //    exactly the bytes N = 1 does (results, telemetry CSV, Chrome trace,
-//    flow CSV, decisions CSV), fault plans included.
+//    flow CSV, decisions CSV), fault plans included, however the run is
+//    sliced and wherever the engine places its cells;
+//  - sim::place_cells, the engine's cell placement, is a pure function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include "exp/fabric_scenario.h"
 #include "exp/scenario.h"
+#include "sim/sharded_sim.h"
 #include "sim/sweep_runner.h"
 
 namespace hostcc {
@@ -143,8 +147,8 @@ struct FabricArtifacts {
   std::uint64_t events = 0;
 };
 
-FabricArtifacts run_fabric_once(exp::FabricScenarioConfig cfg) {
-  exp::FabricScenario s(std::move(cfg));
+// Runs the rest of `s` (warmup + measure) and collects every export.
+FabricArtifacts finish_fabric(exp::FabricScenario& s) {
   FabricArtifacts a;
   a.results = serialize(s.run());
   a.events = s.events_executed();
@@ -158,6 +162,11 @@ FabricArtifacts run_fabric_once(exp::FabricScenarioConfig cfg) {
   s.decisions().write_csv(dec);
   a.decisions = dec.str();
   return a;
+}
+
+FabricArtifacts run_fabric_once(exp::FabricScenarioConfig cfg) {
+  exp::FabricScenario s(std::move(cfg));
+  return finish_fabric(s);
 }
 
 void expect_identical(const FabricArtifacts& a, const FabricArtifacts& b, const char* tag) {
@@ -180,6 +189,44 @@ TEST(DeterminismTest, ShardedRunsInvariantToShardCount) {
   EXPECT_FALSE(one.flows.empty());
   expect_identical(one, two, "shards 1 vs 2");
   expect_identical(one, four, "shards 1 vs 4");
+}
+
+// Each run_for() slice re-enters the parallel loop, which re-places the
+// cells by the busy time measured so far; slices of an odd length also
+// stop mid-epoch, and one slice longer than kReplaceEpochs epochs
+// re-places them inside the loop. None of it may change a byte, nor the
+// epoch count.
+TEST(DeterminismTest, ShardedSlicedRunsInvariantToShardCount) {
+  struct Sliced {
+    FabricArtifacts artifacts;
+    std::uint64_t epochs = 0;
+  };
+  const auto sliced = [](int shards) {
+    // On a fat-tree, cell 0 is a core switch: a light cell, which
+    // placement moves off worker 0.
+    exp::FabricScenarioConfig cfg = sharded_config(shards);
+    cfg.topology = "fat-tree:4";
+    exp::FabricScenario s(std::move(cfg));
+    for (int i = 0; i < 24; ++i) s.run_for(sim::Time::nanoseconds(97'300));
+    const std::uint64_t before = s.engine()->epochs_entered();
+    s.run_for(sim::Time::milliseconds(7));
+    EXPECT_GT(s.engine()->epochs_entered() - before, sim::ShardedSimulator::kReplaceEpochs);
+    Sliced out;
+    out.artifacts = finish_fabric(s);
+    out.epochs = s.engine()->epochs_entered();
+    // Every step is charged to exactly one worker.
+    const sim::ShardedSimulator& e = *s.engine();
+    double cells = 0, workers = 0;
+    for (int c = 0; c < e.cell_count(); ++c) cells += e.cell_wall_ms(c);
+    for (int w = 0; w < e.workers(); ++w) workers += e.worker_wall_ms(w);
+    EXPECT_NEAR(workers, cells, 1e-6 * cells + 1e-9) << "shards " << shards;
+    return out;
+  };
+  const Sliced one = sliced(1);
+  const Sliced four = sliced(4);
+  EXPECT_FALSE(one.artifacts.flows.empty());
+  expect_identical(one.artifacts, four.artifacts, "sliced shards 1 vs 4");
+  EXPECT_EQ(one.epochs, four.epochs);
 }
 
 // The partition must actually engage on a multi-switch topology (guards
@@ -209,6 +256,67 @@ TEST(DeterminismTest, ShardedFaultRunsInvariantToShardCount) {
   const FabricArtifacts four = faulted(4);
   expect_identical(one, two, "fault shards 1 vs 2");
   expect_identical(one, four, "fault shards 1 vs 4");
+}
+
+// --- cell placement ---
+
+TEST(ShardedPlacementTest, HeavyCellRunsAlone) {
+  std::vector<std::int64_t> w(13, 1);
+  w[5] = 100;
+  const std::vector<std::vector<int>> p = sim::place_cells(w, 4);
+  ASSERT_EQ(p.size(), 4u);
+  EXPECT_EQ(p[0], std::vector<int>{5});
+  EXPECT_EQ(p[1], (std::vector<int>{0, 3, 7, 10}));
+  EXPECT_EQ(p[2], (std::vector<int>{1, 4, 8, 11}));
+  EXPECT_EQ(p[3], (std::vector<int>{2, 6, 9, 12}));
+}
+
+TEST(ShardedPlacementTest, EqualOrZeroWeightsDealRoundRobin) {
+  for (std::int64_t weight : {0, 7}) {
+    const std::vector<std::vector<int>> p = sim::place_cells(std::vector<std::int64_t>(10, weight), 4);
+    ASSERT_EQ(p.size(), 4u);
+    EXPECT_EQ(p[0], (std::vector<int>{0, 4, 8})) << weight;
+    EXPECT_EQ(p[1], (std::vector<int>{1, 5, 9})) << weight;
+    EXPECT_EQ(p[2], (std::vector<int>{2, 6})) << weight;
+    EXPECT_EQ(p[3], (std::vector<int>{3, 7})) << weight;
+  }
+}
+
+TEST(ShardedPlacementTest, TiesBreakByCellThenWorkerIndex) {
+  // Cells 1 and 3 tie at the top: cell 1 goes first, to worker 0, and
+  // cell 3 to worker 1. Cells 0, 2 and 4 fill worker 2 up to 6; cell 5
+  // then finds workers 0 and 1 tied at load 5 and one cell each, and
+  // takes worker 0.
+  const std::vector<std::vector<int>> p = sim::place_cells({2, 5, 2, 5, 2, 2}, 3);
+  ASSERT_EQ(p.size(), 3u);
+  EXPECT_EQ(p[0], (std::vector<int>{1, 5}));
+  EXPECT_EQ(p[1], (std::vector<int>{3}));
+  EXPECT_EQ(p[2], (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(p, sim::place_cells({2, 5, 2, 5, 2, 2}, 3));
+}
+
+TEST(ShardedPlacementTest, EveryCellPlacedOnceAndNoWorkerIdle) {
+  std::uint64_t x = 88172645463325252ull;  // xorshift64: any weights will do
+  for (int cells = 1; cells <= 40; ++cells) {
+    for (int workers = 1; workers <= cells && workers <= 8; ++workers) {
+      std::vector<std::int64_t> w(static_cast<std::size_t>(cells));
+      for (std::int64_t& v : w) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        v = static_cast<std::int64_t>(x % 4) * static_cast<std::int64_t>(x % 1000);
+      }
+      const std::vector<std::vector<int>> p = sim::place_cells(w, workers);
+      ASSERT_EQ(p.size(), static_cast<std::size_t>(workers));
+      std::vector<int> seen(static_cast<std::size_t>(cells), 0);
+      for (const std::vector<int>& list : p) {
+        EXPECT_FALSE(list.empty()) << cells << " cells, " << workers << " workers";
+        EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+        for (int c : list) ++seen[static_cast<std::size_t>(c)];
+      }
+      EXPECT_EQ(seen, std::vector<int>(static_cast<std::size_t>(cells), 1));
+    }
+  }
 }
 
 TEST(DeterminismTest, SweepResultsInvariantToJobCount) {

@@ -445,6 +445,11 @@ int run_fabric(exp::FabricScenarioConfig fcfg, const Cli& cli) {
     std::printf("    \"epochs\": %llu,\n",
                 static_cast<unsigned long long>(fs.engine()->epochs_entered()));
     std::printf("    \"shard_wall_ms\": %.1f,\n", fs.engine()->max_cell_wall_ms());
+    std::printf("    \"worker_wall_ms\": [");
+    for (int w = 0; w < fs.engine()->workers(); ++w) {
+      std::printf("%s%.1f", w ? ", " : "", fs.engine()->worker_wall_ms(w));
+    }
+    std::printf("],\n");
     std::printf("    \"no_route_drops\": %llu,\n",
                 static_cast<unsigned long long>(r.fabric_no_route_drops));
     std::printf("    \"wall_ms\": %.1f,\n", wall_ms);
